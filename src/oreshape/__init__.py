@@ -15,6 +15,7 @@ from .errors import (
     CyclicVectorNotFound,
     DegreeCapExceeded,
     DivisionByZero,
+    InternalError,
     NonOrdinaryOrigin,
     NormalizationFailed,
     NotCyclic,
@@ -111,5 +112,6 @@ __all__ = [
     "TruncationTooSmall",
     "NormalizationFailed",
     "CyclicVectorNotFound",
+    "InternalError",
     "__version__",
 ]

@@ -578,16 +578,15 @@ def join_sum(parts: list[str]) -> str:
     return "".join(out)
 
 
+def power_product(expo: tuple[int, ...], names: list[str]) -> str:
+    """name1^e1*name2^e2*..., omitting zero exponents; '' for all zeros."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for e, name in zip(expo, names) if e)
+
+
 def format_monomial(expo: tuple[int, ...], coeff: Fraction, names: list[str]) -> str:
-    factors = []
-    for e, name in zip(expo, names):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    if not factors:
+    body = power_product(expo, names)
+    if not body:
         return str(coeff)
-    body = "*".join(factors)
     if coeff == 1:
         return body
     if coeff == -1:

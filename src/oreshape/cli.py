@@ -8,6 +8,7 @@ file.  With --json a single JSON object is printed instead, under schema
 
 Exit codes:
     0  success
+    1  internal self-check failed (a bug)
     2  malformed input: parse errors, arity errors, bad flags or file shape
     3  precondition failures: infinite-dimensional quotient, not in normal
        position, pole at the requested point, origin not ordinary, division
@@ -25,12 +26,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import MultiPoly, RatFunc, format_poly
+from .arith import format_poly
 from .errors import (
     ArityError,
     CyclicVectorNotFound,
     DegreeCapExceeded,
     DivisionByZero,
+    InternalError,
     NonOrdinaryOrigin,
     NormalizationFailed,
     NotCyclic,
@@ -42,7 +44,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .gb import GroebnerBasis, TermOrder, groebner_basis
-from .ore import OreOperator, TruncSeries, format_operator, format_series
+from .ore import TruncSeries, format_operator, format_series
 from .parsing import parse_ideal_file, parse_operator
 from .series import (
     d_radical_check,
@@ -63,6 +65,7 @@ from .shape import (
 SCHEMA = "ore-shape/1"
 
 _EXIT_CODES = (
+    (InternalError, 1),
     (ParseError, 2),
     (ArityError, 2),
     (NotZeroDimensional, 3),
@@ -138,20 +141,12 @@ def _parse_shear_vector(text: str, nvars: int) -> tuple[Fraction, ...]:
         raise ParseError(f"bad shear coefficient: {exc}") from None
 
 
-def _op_json(op: OreOperator) -> str:
-    return format_operator(op)
-
-
 def _series_json(f: TruncSeries) -> dict:
     terms = [
         {"exponents": list(expo), "coefficient": str(c)}
         for expo, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     ]
     return {"order": f.order, "terms": terms}
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +158,7 @@ def _ideal_file_lines(nvars: int, ops) -> list[str]:
 
 
 def cmd_parse(args, inp: _Input):
-    result = {"operators": [_op_json(g) for g in inp.operators]}
+    result = {"operators": [format_operator(g) for g in inp.operators]}
     return result, _ideal_file_lines(inp.nvars, inp.operators)
 
 
@@ -173,7 +168,7 @@ def cmd_mul(args, inp: _Input):
     acc = inp.operators[0]
     for g in inp.operators[1:]:
         acc = acc * g
-    return {"product": _op_json(acc)}, [format_operator(acc)]
+    return {"product": format_operator(acc)}, [format_operator(acc)]
 
 
 def cmd_apply(args, inp: _Input):
@@ -185,7 +180,7 @@ def cmd_apply(args, inp: _Input):
     images = [op.apply(f) for f in sol.members]
     result = {
         "dimension": sol.r,
-        "applied": _op_json(op),
+        "applied": format_operator(op),
         "images": [_series_json(f) for f in images],
     }
     lines = [format_series(f) for f in images]
@@ -200,7 +195,7 @@ def cmd_gb(args, inp: _Input):
     else:
         order = TermOrder.degrevlex(inp.nvars)
     gb = inp.ideal(order)
-    result = {"order": args.order, "basis": [_op_json(g) for g in gb.gens]}
+    result = {"order": args.order, "basis": [format_operator(g) for g in gb.gens]}
     return result, _ideal_file_lines(inp.nvars, gb.gens)
 
 
@@ -218,7 +213,7 @@ def cmd_eliminate(args, inp: _Input):
     p = eliminate_dx(gb, method=args.method)
     if k:
         p = p.swap_roles(k)
-    return {"eliminant": _op_json(p), "method": args.method}, [format_operator(p)]
+    return {"eliminant": format_operator(p), "method": args.method}, [format_operator(p)]
 
 
 def cmd_shape(args, inp: _Input):
@@ -234,9 +229,9 @@ def cmd_shape(args, inp: _Input):
         qs = [q.swap_roles(k) for q in qs]
     result = {
         "dimension": sb.r,
-        "P": _op_json(p),
-        "Q": [_op_json(q) for q in qs],
-        "generators": [_op_json(g) for g in gens],
+        "P": format_operator(p),
+        "Q": [format_operator(q) for q in qs],
+        "generators": [format_operator(g) for g in gens],
     }
     return result, _ideal_file_lines(inp.nvars, gens)
 
@@ -280,7 +275,7 @@ def cmd_shear(args, inp: _Input):
     gb = shear_ideal(inp.ideal(), c)
     result = {
         "shear": [str(ci) for ci in c],
-        "basis": [_op_json(g) for g in gb.gens],
+        "basis": [format_operator(g) for g in gb.gens],
     }
     return result, _ideal_file_lines(inp.nvars, gb.gens)
 
@@ -292,7 +287,7 @@ def cmd_normalize(args, inp: _Input):
     )
     result = {
         "shear": [str(ci) for ci in params.c],
-        "basis": [_op_json(g) for g in sheared.gens],
+        "basis": [format_operator(g) for g in sheared.gens],
     }
     lines = ["shear: " + ",".join(str(ci) for ci in params.c)]
     lines += _ideal_file_lines(inp.nvars, sheared.gens)
@@ -346,11 +341,11 @@ def cmd_gauge(args, inp: _Input):
         gens = [g.swap_roles(k) for g in gens]
         m_out = m.swap_roles(k)
     result = {
-        "cyclic_vector": _op_json(m_out),
+        "cyclic_vector": format_operator(m_out),
         "dimension": sb.r,
-        "P": _op_json(p),
-        "Q": [_op_json(q) for q in qs],
-        "generators": [_op_json(g) for g in gens],
+        "P": format_operator(p),
+        "Q": [format_operator(q) for q in qs],
+        "generators": [format_operator(g) for g in gens],
     }
     lines = [f"cyclic vector: {format_operator(m_out)}"]
     lines += _ideal_file_lines(inp.nvars, gens)
@@ -465,17 +460,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _normalize_defaults(args):
+def _check_flags(args):
+    """Fill in the default search budget and reject out-of-range numbers."""
     if getattr(args, "max_attempts", None) is None:
         args.max_attempts = 200 if args.command == "gauge" else 20
+    elif args.max_attempts < 1:
+        raise ValueError(f"--max-attempts must be at least 1, got {args.max_attempts}")
+    for flag in ("degree_bound", "coeff_range"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 0, got {value}")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _normalize_defaults(args)
     started = time.perf_counter()
     try:
+        _check_flags(args)
         inp = _read_input(args)
         result, lines = args.func(args, inp)
     except (OreShapeError, ValueError, OSError) as exc:

@@ -76,3 +76,8 @@ class NormalizationFailed(OreShapeError):
 
 class CyclicVectorNotFound(OreShapeError):
     """No cyclic vector was found within the attempt budget (inconclusive)."""
+
+
+class InternalError(OreShapeError):
+    """An internal self-check failed: a result did not pass the test that
+    certifies it.  This is a bug, never a property of the input."""

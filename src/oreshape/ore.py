@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import MultiPoly, RatFunc, grevlex_key, join_sum, format_ratfunc, var_name
-from .errors import ArityError, PoleAtOrigin, TruncationTooSmall
+from .arith import RatFunc, format_monomial, format_ratfunc, grevlex_key, join_sum, power_product, var_name
+from .errors import ArityError, InternalError, PoleAtOrigin, TruncationTooSmall
 
 
 def der_name(index: int, nvars: int) -> str:
@@ -334,9 +334,10 @@ def _checked_shear_images(nvars: int, c: tuple[Fraction, ...], direction: str) -
     for a in range(nvars + 1):
         for b in range(nvars + 1):
             comm = ders[a] * varops[b] - varops[b] * ders[a]
-            assert comm == (one if a == b else zero), "shear images break commutation relations"
-            dcomm = ders[a] * ders[b] - ders[b] * ders[a]
-            assert dcomm == zero, "shear image derivatives do not commute"
+            if comm != (one if a == b else zero):
+                raise InternalError("shear images break commutation relations")
+            if ders[a] * ders[b] != ders[b] * ders[a]:
+                raise InternalError("shear image derivatives do not commute")
     _shear_checked.add(key)
 
 
@@ -512,13 +513,7 @@ def format_operator(op: OreOperator) -> str:
     parts = []
     for dm in sorted(op.terms, key=grevlex_key, reverse=True):
         c = op.terms[dm]
-        factors = []
-        for e, name in zip(dm, names):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
+        body = power_product(dm, names)
         if not body:
             parts.append(format_ratfunc(c))
             continue
@@ -535,24 +530,5 @@ def format_operator(op: OreOperator) -> str:
 
 
 def format_series(f: TruncSeries) -> str:
-    if f.is_zero():
-        return "0"
     names = [var_name(i, f.nvars) for i in range(f.nvars + 1)]
-    parts = []
-    for expo in sorted(f.coeffs, key=grevlex_key):
-        v = f.coeffs[expo]
-        factors = []
-        for e, name in zip(expo, names):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            parts.append(str(v))
-        elif v == 1:
-            parts.append("*".join(factors))
-        elif v == -1:
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append(f"{v}*" + "*".join(factors))
-    return join_sum(parts)
+    return join_sum([format_monomial(e, f.coeffs[e], names) for e in sorted(f.coeffs, key=grevlex_key)])

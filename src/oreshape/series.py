@@ -22,7 +22,9 @@ The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
 finite exact Q-linear system in the p-coefficients.  A nontrivial kernel
 vector is re-verified against a deeper expansion (order + 4) before being
-reported; no kernel means no dependence up to the stated bounds, a
+reported: first each kernel basis vector, then, if none survives, the
+kernel's span, by solving the deeper equations restricted to it.  No
+verified vector means no dependence up to the stated bounds, a
 semi-decision, not a proof of D-radicality.
 """
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import MultiPoly, RatFunc, grevlex_key
+from .arith import MultiPoly, grevlex_key
 from .errors import NonOrdinaryOrigin, PoleAtPoint, TruncationTooSmall
 from .gb import GroebnerBasis
 from .ore import TruncSeries
@@ -81,9 +83,7 @@ def solve_series(gb: GroebnerBasis, order: int = 8) -> SolutionBasis:
         return SolutionBasis(nvars, 0, order, (), ())
     origin = (Fraction(0),) * (nvars + 1)
     zero_m = (0,) * (nvars + 1)
-    e0 = [RatFunc.zero(nvars) for _ in range(r)]
-    e0[act.index[zero_m]] = RatFunc.one(nvars)
-    coords = {zero_m: e0}
+    coords = {zero_m: act.unit()}
     coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(r)]
     for m in _graded_monomials(nvars + 1, order):
         if m != zero_m:
@@ -203,18 +203,16 @@ def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]
     return basis
 
 
-def _poly_series_product_is_zero(polys, members, below: int) -> bool:
-    """Exact check that sum polys[i] * members[i] vanishes below `below`."""
-    nvars = members[0].nvars
+def _poly_series_product(polys, members, below: int) -> dict[tuple[int, ...], Fraction]:
+    """Coefficients of sum polys[i] * members[i] below total degree `below`."""
     total: dict[tuple[int, ...], Fraction] = {}
     for p, f in zip(polys, members):
         for pe, pc in p.terms.items():
-            pd = sum(pe)
             for fe, fc in f.coeffs.items():
                 expo = tuple(a + b for a, b in zip(pe, fe))
                 if sum(expo) < below:
                     total[expo] = total.get(expo, Fraction(0)) + pc * fc
-    return all(v == 0 for v in total.values())
+    return total
 
 
 def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -> DRadicalVerdict:
@@ -245,22 +243,31 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
                 row.append(sol.members[i].coefficient(rest))
         rows.append(row)
     kernel = _kernel_basis(rows, len(cols))
-    if kernel:
-        deep = solve_series(gb, order + 4)
-        for vec in kernel:
-            polys = []
-            for i in range(r):
-                terms = {}
-                for j, (ii, alpha) in enumerate(cols):
-                    if ii == i and vec[j]:
-                        terms[alpha] = vec[j]
-                polys.append(MultiPoly(nvars, terms))
-            if not _poly_series_product_is_zero(polys, deep.members, order + 4):
-                continue
-            return DRadicalVerdict(
-                DEPENDENCE_FOUND, _normalize_witness(polys), degree_bound, order
-            )
-    return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
+    if not kernel:
+        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
+    deep = solve_series(gb, order + 4)
+
+    def polys_of(vec):
+        polys = [{} for _ in range(r)]
+        for (i, alpha), v in zip(cols, vec):
+            if v:
+                polys[i][alpha] = v
+        return [MultiPoly(nvars, terms) for terms in polys]
+
+    images = []
+    for vec in kernel:
+        image = _poly_series_product(polys_of(vec), deep.members, order + 4)
+        if not any(image.values()):
+            return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
+        images.append(image)
+    # No basis vector survives the deeper expansion, but a combination of
+    # them may: solve the deep equations on the kernel's span.
+    monos = sorted({m for image in images for m in image})
+    small = _kernel_basis([[image.get(m, Fraction(0)) for image in images] for m in monos], len(kernel))
+    if not small:
+        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
+    vec = [sum((t * v[j] for t, v in zip(small[0], kernel)), Fraction(0)) for j in range(len(cols))]
+    return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
 
 
 def _normalize_witness(polys: list[MultiPoly]) -> tuple[MultiPoly, ...]:

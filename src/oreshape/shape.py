@@ -19,10 +19,20 @@ when that first dependence happens at step r = dim of the quotient; then
 expressing the class of each Dyi in the Krylov basis yields Qi with
 Dyi - Qi(Dx) in I, and {Dy1 - Q1, ..., Dyn - Qn, P} generates I.
 
-Gaussian elimination over K uses exact arithmetic throughout; pivots are
-chosen as the lowest-degree nonzero entry of the current column (ties by row
-position), which keeps intermediate coefficient growth down and the whole
-computation deterministic.
+One routine does all of this linear algebra: _krylov_walk walks the family
+into an echelon form over K that grows one vector at a time and remembers
+each row's combination of the family (_Echelon).  The k-th step reduces one
+new vector against k rows, so a walk to step r costs O(r^3) operations in
+K instead of the O(r^4) of solving afresh at every step.  The Dyi images reduce
+against the same echelon.  Pivots are the lowest-degree nonzero entry of
+the reduced vector (ties by position), which keeps intermediate coefficient
+growth down and the whole computation deterministic; the results do not
+depend on the pivots, since coefficients in an independent family are
+unique.
+
+shape_basis certifies its answer with n + 1 reductions, not a second
+completion: see its docstring for why J = <shape generators> inside I
+already forces J = I.
 """
 
 from __future__ import annotations
@@ -34,11 +44,12 @@ from fractions import Fraction
 from .arith import RatFunc
 from .errors import (
     CyclicVectorNotFound,
+    InternalError,
     NormalizationFailed,
     NotCyclic,
     NotNormalPosition,
 )
-from .gb import GroebnerBasis, TermOrder, groebner_basis, left_reduce
+from .gb import GroebnerBasis, TermOrder, groebner_basis
 from .ore import OreOperator
 
 
@@ -76,6 +87,12 @@ class QuotientAction:
             v[self.index[dm]] = c
         return v
 
+    def unit(self) -> list[RatFunc]:
+        """Coordinates of the class of 1."""
+        v = [RatFunc.zero(self.nvars) for _ in self.basis]
+        v[self.index[(0,) * (self.nvars + 1)]] = RatFunc.one(self.nvars)
+        return v
+
     def coords(self, op: OreOperator) -> list[RatFunc]:
         """Coordinates of the residue class of an arbitrary operator."""
         return self._standard_coords(self.gb.reduce(op))
@@ -102,74 +119,70 @@ def quotient_action(gb: GroebnerBasis) -> QuotientAction:
     return act
 
 
-def _express(vectors: list[list[RatFunc]], target: list[RatFunc], nvars: int):
-    """Coefficients writing target as a K-combination of vectors, or None.
+class _Echelon:
+    """Row echelon form over K of a family v_0, v_1, ... grown one vector at
+    a time.
 
-    Gauss-Jordan over K; pivot = lowest-degree nonzero entry of the current
-    column, ties broken by row position.
+    Row j is v_j minus its combination of the earlier rows, scaled to 1 at
+    its pivot, and it remembers that combination as coefficients on
+    v_0..v_j.  Each row is zero at the pivots of the rows before it, so
+    reducing a vector against the rows in order clears every pivot.
     """
-    r = len(target)
-    s = len(vectors)
-    if s == 0:
-        return [] if all(t.is_zero() for t in target) else None
-    M = [[vectors[j][i] for j in range(s)] + [target[i]] for i in range(r)]
-    used = [False] * r
-    pivots = []
-    for col in range(s):
-        cand = [(M[i][col].degree(), i) for i in range(r) if not used[i] and not M[i][col].is_zero()]
+
+    __slots__ = ("zero", "one", "rows")
+
+    def __init__(self, nvars: int):
+        self.zero = RatFunc.zero(nvars)
+        self.one = RatFunc.one(nvars)
+        self.rows = []  # (pivot, row, combination)
+
+    def reduce(self, v: list[RatFunc]):
+        """(c, rest) with v = sum c[j] * v_j + rest and rest zero at every pivot."""
+        c = [self.zero] * len(self.rows)
+        for p, row, comb in self.rows:
+            f = v[p]
+            if f.is_zero():
+                continue
+            v = [a if b.is_zero() else a - f * b for a, b in zip(v, row)]
+            for j, b in enumerate(comb):
+                if not b.is_zero():
+                    c[j] = c[j] + f * b
+        return c, v
+
+    def add(self, v: list[RatFunc]):
+        """Append v and return None; or, when v lies in the span of the
+        family, return its coefficients and leave the family as it was."""
+        c, rest = self.reduce(v)
+        cand = [(a.degree(), i) for i, a in enumerate(rest) if not a.is_zero()]
         if not cand:
-            continue
+            return c
         _, p = min(cand)
-        used[p] = True
-        pivots.append((p, col))
-        inv = RatFunc.one(nvars) / M[p][col]
-        M[p] = [e * inv for e in M[p]]
-        for i in range(r):
-            if i != p and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[p])]
-    for i in range(r):
-        if not used[i] and not M[i][s].is_zero():
-            return None
-    out = [RatFunc.zero(nvars) for _ in range(s)]
-    for p, col in pivots:
-        out[col] = M[p][s]
-    return out
+        inv = self.one / rest[p]
+        row = [a if a.is_zero() else a * inv for a in rest]
+        comb = [a if a.is_zero() else -a * inv for a in c] + [inv]
+        self.rows.append((p, row, comb))
+        return None
 
 
-def _krylov(act: QuotientAction, v0: list[RatFunc], steps: int) -> list[list[RatFunc]]:
-    vs = [v0]
-    for _ in range(steps):
-        vs.append(act.apply(0, vs[-1]))
-    return vs
+def _krylov_walk(act: QuotientAction, v0: list[RatFunc]):
+    """The Krylov walk v0, Dx.v0, Dx^2.v0, ... up to its first dependence.
 
-
-def _first_dependence(act: QuotientAction, v0: list[RatFunc]):
-    """(s, lambda) for the first s with Dx^s.v0 in the span of the earlier
-    Krylov vectors; lambda has length s.  s = 0 means v0 itself is zero."""
-    if all(v.is_zero() for v in v0):
-        return 0, []
-    vs = [v0]
+    Returns (lam, ech): Dx^s.v0 = sum lam[k] * Dx^k.v0 with s = len(lam)
+    the first step whose vector lies in the span of the earlier ones, and
+    ech the echelon of v0..Dx^(s-1).v0.  s = 0 when v0 is zero, and s <= r.
+    """
+    ech = _Echelon(act.nvars)
+    v = v0
     while True:
-        nxt = act.apply(0, vs[-1])
-        lam = _express(vs, nxt, act.nvars)
+        lam = ech.add(v)
         if lam is not None:
-            return len(vs), lam
-        vs.append(nxt)
+            return lam, ech
+        v = act.apply(0, v)
 
 
-def _dx_poly(nvars: int, coeffs: list[RatFunc], lead_order: int) -> OreOperator:
-    """Dx^lead_order - sum coeffs[k] * Dx^k as an operator."""
-    terms = {}
-    dm = [0] * (nvars + 1)
-    dm[0] = lead_order
-    terms[tuple(dm)] = RatFunc.one(nvars)
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            dmk = [0] * (nvars + 1)
-            dmk[0] = k
-            terms[tuple(dmk)] = -c
-    return OreOperator(nvars, terms)
+def _dx_poly(nvars: int, coeffs) -> OreOperator:
+    """sum coeffs[k] * Dx^k as an operator."""
+    return OreOperator(nvars, {(k,) + (0,) * nvars: c for k, c in enumerate(coeffs)})
 
 
 def eliminate_dx(gb: GroebnerBasis, method: str = "krylov") -> OreOperator:
@@ -185,10 +198,8 @@ def eliminate_dx(gb: GroebnerBasis, method: str = "krylov") -> OreOperator:
         if r == 0:
             return OreOperator.one(gb.nvars)
         act = quotient_action(gb)
-        e0 = [RatFunc.zero(gb.nvars) for _ in range(r)]
-        e0[act.index[(0,) * (gb.nvars + 1)]] = RatFunc.one(gb.nvars)
-        s, lam = _first_dependence(act, e0)
-        return _dx_poly(gb.nvars, lam, s)
+        lam, _ = _krylov_walk(act, act.unit())
+        return _dx_poly(gb.nvars, [-c for c in lam] + [RatFunc.one(gb.nvars)])
     if method == "elim-order":
         order = TermOrder.elim(gb.nvars)
         g2 = gb if gb.order == order else groebner_basis(gb.gens, order)
@@ -219,29 +230,14 @@ class ShapeBasis:
     q_coeffs: tuple[tuple[RatFunc, ...], ...]
 
     def P(self) -> OreOperator:
-        terms = {}
-        for k, c in enumerate(self.p_coeffs):
-            if not c.is_zero():
-                dm = [0] * (self.nvars + 1)
-                dm[0] = k
-                terms[tuple(dm)] = c
-        return OreOperator(self.nvars, terms)
+        return _dx_poly(self.nvars, self.p_coeffs)
 
     def Q(self, i: int) -> OreOperator:
-        terms = {}
-        for k, c in enumerate(self.q_coeffs[i - 1]):
-            if not c.is_zero():
-                dm = [0] * (self.nvars + 1)
-                dm[0] = k
-                terms[tuple(dm)] = c
-        return OreOperator(self.nvars, terms)
+        return _dx_poly(self.nvars, self.q_coeffs[i - 1])
 
     def generators(self) -> list[OreOperator]:
-        gens = []
-        for i in range(1, self.nvars + 1):
-            gens.append(OreOperator.D(self.nvars, i) - self.Q(i))
-        gens.append(self.P())
-        return gens
+        dys = [OreOperator.D(self.nvars, i) - self.Q(i) for i in range(1, self.nvars + 1)]
+        return dys + [self.P()]
 
 
 def _trim(coeffs: list[RatFunc]) -> tuple[RatFunc, ...]:
@@ -250,52 +246,50 @@ def _trim(coeffs: list[RatFunc]) -> tuple[RatFunc, ...]:
     return tuple(coeffs)
 
 
-def _shape_from_krylov(act: QuotientAction, v0: list[RatFunc], check_v0=True) -> ShapeBasis:
+def _shape_from_krylov(act: QuotientAction, v0: list[RatFunc]) -> ShapeBasis:
     """Shared core of shape_basis and gauge_transform: build P and the Qi
-    from the Krylov family of v0, requiring independence up to step r."""
+    from the Krylov family of v0, requiring independence up to step r.
+
+    Then the r independent vectors span the r-dimensional quotient, so each
+    Dyi.v0 reduces to zero against their echelon and its combination is Qi."""
     r = act.r
     nvars = act.nvars
-    if all(v.is_zero() for v in v0):
+    lam, ech = _krylov_walk(act, v0)
+    if not lam:
         raise NotCyclic("the vector reduces to zero in the quotient")
-    vs = [v0]
-    for s in range(1, r):
-        nxt = act.apply(0, vs[-1])
-        if _express(vs, nxt, nvars) is not None:
-            raise NotCyclic(f"Krylov family dependent at step {s}, quotient dimension {r}")
-        vs.append(nxt)
-    lam = _express(vs, act.apply(0, vs[-1]), nvars)
-    assert lam is not None, "full Krylov family must span the quotient"
+    if len(lam) < r:
+        raise NotCyclic(f"Krylov family dependent at step {len(lam)}, quotient dimension {r}")
     p_coeffs = tuple(-c for c in lam) + (RatFunc.one(nvars),)
-    q_all = []
-    for i in range(1, nvars + 1):
-        u = act.apply(i, v0)
-        q = _express(vs, u, nvars)
-        assert q is not None
-        q_all.append(_trim(q))
-    return ShapeBasis(nvars, r, p_coeffs, tuple(q_all))
+    q_all = tuple(_trim(ech.reduce(act.apply(i, v0))[0]) for i in range(1, nvars + 1))
+    return ShapeBasis(nvars, r, p_coeffs, q_all)
 
 
 def shape_basis(gb: GroebnerBasis) -> ShapeBasis:
     """Shape basis of a zero-dimensional ideal in normal position.
 
     Raises NotNormalPosition when the elimination operator has order < r.
-    Postcondition (checked): the returned generators and the input generate
-    the same left ideal.
+
+    Certificate (checked): the n + 1 shape generators reduce to zero modulo
+    gb, so J = <shape generators> is contained in I.  Modulo J each Dyi
+    rewrites to Qi(Dx); by induction on the Dy-degree every monomial
+    becomes a K[Dx]-combination, because commuting a Dy past a coefficient
+    only lowers that degree.  P, monic of order r, then brings every power
+    of Dx below r, so dim K[D]/J <= r.  With J inside I and dim K[D]/I = r
+    this forces J = I, under any term order.  A failed containment is a bug
+    and raises InternalError.
     """
     r = gb.dimension()
     nvars = gb.nvars
     if r == 0:
         return ShapeBasis(nvars, 0, (RatFunc.one(nvars),), tuple(() for _ in range(nvars)))
     act = quotient_action(gb)
-    e0 = [RatFunc.zero(nvars) for _ in range(r)]
-    e0[act.index[(0,) * (nvars + 1)]] = RatFunc.one(nvars)
     try:
-        sb = _shape_from_krylov(act, e0)
+        sb = _shape_from_krylov(act, act.unit())
     except NotCyclic as exc:
         raise NotNormalPosition(f"the ideal is not in normal position: {exc}") from None
-    new_gb = groebner_basis(sb.generators(), gb.order)
-    ok = all(new_gb.contains(g) for g in gb.gens) and all(gb.contains(h) for h in sb.generators())
-    assert ok, "shape generators do not match the input ideal"
+    for h in sb.generators():
+        if not gb.contains(h):
+            raise InternalError(f"shape generator {h} is not in the ideal")
     return sb
 
 
@@ -367,17 +361,6 @@ def cyclic_vector(
     if r == 0:
         raise ValueError("the quotient is trivial; no cyclic vector exists")
 
-    def is_cyclic(v0):
-        if all(v.is_zero() for v in v0):
-            return False
-        vs = [v0]
-        for _ in range(1, r):
-            nxt = act.apply(0, vs[-1])
-            if _express(vs, nxt, nvars) is not None:
-                return False
-            vs.append(nxt)
-        return True
-
     def candidates():
         for dm in act.basis:
             yield OreOperator.monomial(nvars, dm)
@@ -408,7 +391,7 @@ def cyclic_vector(
         if attempts >= max_attempts:
             break
         attempts += 1
-        if is_cyclic(act.coords(M)):
+        if len(_krylov_walk(act, act.coords(M))[0]) == r:
             return M
     raise CyclicVectorNotFound(f"no cyclic vector found in {max_attempts} attempts")
 

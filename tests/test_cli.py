@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from oreshape.cli import main
+from oreshape.gb import GroebnerBasis
 from oreshape.ore import format_operator
 from oreshape.parsing import parse_ideal_file
 
@@ -232,6 +233,10 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("normalize", "-", "--max-attempts", "1"), EXP_PAIR, 5),
         (("gauge", "-", "--max-attempts", "1"), EXP_PAIR, 5),
         (("eliminate", "-"), "", 2),
+        (("check-dradical", "-", "--degree-bound", "-1"), NILPOTENT_Y, 2),
+        (("gauge", "-", "--degree-bound", "-1"), EXP_PAIR, 2),
+        (("gauge", "-", "--max-attempts", "0"), EXP_PAIR, 2),
+        (("normalize", "-", "--coeff-range", "-1"), TWO_POINTS, 2),
     ],
 )
 def test_exit_codes(capsys, monkeypatch, argv, stdin, code):
@@ -246,6 +251,14 @@ def test_json_error_payload(capsys, monkeypatch):
     d = json.loads(out)
     assert d["error"]["type"] == "ParseError"
     assert "line 1" in d["error"]["message"]
+
+
+def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(GroebnerBasis, "contains", lambda self, f: False)
+    code, out, err = run(capsys, "shape", "-", "--json", stdin=TWO_POINTS, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InternalError"
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_missing_file_is_reported(capsys):

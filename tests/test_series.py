@@ -296,3 +296,20 @@ def test_dependence_bounds_are_recorded():
 def test_dependence_requires_room_above_degree_bound():
     with pytest.raises(TruncationTooSmall):
         d_radical_check(fixture_gb("two_points"), degree_bound=3, order=3)
+
+
+def test_dependence_found_on_span_of_kernel_basis():
+    # Solutions e^(-x - y), x*e^(-x - y), 1 and e^(-2x), so x*f - g = 0 for
+    # the first two.  At the default bounds no single kernel basis vector
+    # survives the deeper expansion; a combination of them does.
+    (dx, dy), one = sym(1)
+    gens = [(dx + one) * (dx + one) * dx * (dx + 2 * one), dy - (dx * dx + 2 * dx)]
+    gb = groebner_basis(gens, TermOrder.degrevlex(1))
+    v = d_radical_check(gb)
+    assert v.tag == DEPENDENCE_FOUND
+    x = MultiPoly.var(1, 0)
+    one_p = MultiPoly.one(1)
+    assert v.witness == (x, -x, -x - one_p, x + one_p)
+    sol = solve_series(gb, order=16)
+    for expo in monomials_below(1, 16):
+        assert combo_coefficient(v.witness, sol.members, expo) == 0

@@ -18,17 +18,18 @@ import pytest
 from oreshape.arith import MultiPoly, RatFunc
 from oreshape.errors import (
     CyclicVectorNotFound,
+    InternalError,
     NormalizationFailed,
     NotCyclic,
     NotNormalPosition,
 )
-from oreshape.gb import TermOrder, groebner_basis
+from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis
 from oreshape.ore import OreOperator
 from oreshape.series import solve_series
 from oreshape.shape import (
     QuotientAction,
     ShearParams,
-    _express,
+    _Echelon,
     cyclic_vector,
     eliminate_dx,
     gauge_transform,
@@ -114,21 +115,33 @@ def test_action_is_pseudo_linear():
             assert lhs == rhs
 
 
-def test_express_small_systems():
+def express(vectors, target, nvars):
+    """Coefficients of target in the span of the vectors, or None."""
+    ech = _Echelon(nvars)
+    for v in vectors:
+        ech.add(v)
+    c, rest = ech.reduce(target)
+    return c if all(a.is_zero() for a in rest) else None
+
+
+def test_echelon_small_systems():
     one = RatFunc.one(1)
     zero = RatFunc.zero(1)
     x = RatFunc.var(1, 0)
     # identity system
-    assert _express([[one, zero], [zero, one]], [x, one], 1) == [x, one]
-    # dependent column set, consistent target
-    sol = _express([[one, zero], [x, zero]], [one + x, zero], 1)
-    assert sol is not None
-    assert sol[0] + sol[1] * x == one + x or sol[0] * one + sol[1] * x == one + x
+    assert express([[one, zero], [zero, one]], [x, one], 1) == [x, one]
+    # dependent family: the second vector is reported and not added, and a
+    # consistent target is expressed in the independent part
+    ech = _Echelon(1)
+    assert ech.add([one, zero]) is None
+    assert ech.add([x, zero]) == [x]
+    c, rest = ech.reduce([one + x, zero])
+    assert c == [one + x] and all(a.is_zero() for a in rest)
     # inconsistent target
-    assert _express([[one, zero]], [zero, one], 1) is None
+    assert express([[one, zero]], [zero, one], 1) is None
     # empty family expresses only zero
-    assert _express([], [zero, zero], 1) == []
-    assert _express([], [one], 1) is None
+    assert express([], [zero, zero], 1) == []
+    assert express([], [one], 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +278,12 @@ def test_shape_basis_requires_normal_position():
         shape_basis(fixture_gb("nilpotent_y"))
 
 
+def test_shape_basis_certificate_failure_raises(monkeypatch):
+    monkeypatch.setattr(GroebnerBasis, "contains", lambda self, f: False)
+    with pytest.raises(InternalError):
+        shape_basis(fixture_gb("two_points"))
+
+
 def test_shape_basis_unit_ideal():
     (dx, dy), one = sym(1)
     sb = shape_basis(fixture_gb("unit"))
@@ -398,6 +417,22 @@ def test_gauge_transform_rejects_non_cyclic_class():
     # the class of a generator is zero in the quotient
     with pytest.raises(NotCyclic):
         gauge_transform(gb, gb.gens[0])
+
+
+def test_krylov_engine_over_fixture_corpus():
+    # the one Krylov walk serves elimination, shape bases and gauge
+    # transforms; elim-order completion is the independent reference
+    ds, one2 = sym(2)
+    pool = [fixture_gb(n) for n in ("two_points", "double_point", "exp_pair", "nilpotent_y", "unit", "axes")]
+    pool += [shear_ideal(fixture_gb(n), (Fraction(1),)) for n in ("exp_pair", "nilpotent_y")]
+    pool.append(groebner_basis([ds[0] - one2, ds[1] - one2, ds[2] - 2 * one2], TermOrder.degrevlex(2)))
+    normal = 0
+    for gb in pool:
+        assert eliminate_dx(gb, method="krylov") == eliminate_dx(gb, method="elim-order")
+        if gb.dimension() and in_normal_position(gb):
+            normal += 1
+            assert gauge_transform(gb, OreOperator.one(gb.nvars)) == shape_basis(gb)
+    assert normal == 6
 
 
 def test_gauge_with_one_matches_shape_basis():
