@@ -11,7 +11,14 @@ The representation is pinned so that equal field elements compare equal as
 Python objects: gcd(num, den) = 1 with the gcd computed by a primitive
 polynomial remainder sequence over Z, and den monic with respect to the
 graded reverse lexicographic order with x > y1 > ... > yn.  The zero element
-is 0/1.
+is 0/1.  A unit denominator is reduced and monic by definition, so num/1
+is canonical without a gcd: construction skips it, and +, -, * and
+derivative build the result directly when both denominators are 1.
+
+Each value class has a private trusted constructor, _make, that skips all
+checks and copies nothing.  It may only receive parts that are canonical
+already (tuple keys, nonzero Fraction coefficients, a reduced num/den with
+den monic); the public constructors keep every check.
 
 Monomial comparisons everywhere in this module use that same grevlex order;
 it is only a tie-breaking device here (canonical signs, monic denominators),
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd as int_gcd, lcm as int_lcm
+from operator import add
 
 from .errors import ArityError, DivisionByZero, PoleAtPoint
 
@@ -59,6 +67,15 @@ class MultiPoly:
         self.terms = cleaned
 
     @classmethod
+    def _make(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Trusted constructor: `terms` must already be canonical (tuple keys,
+        nonzero Fraction values) and becomes the new value's own dict."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars, {})
 
@@ -93,7 +110,8 @@ class MultiPoly:
         return next(iter(self.terms.values()))
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * (self.nvars + 1): Fraction(1)}
+        t = self.terms
+        return len(t) == 1 and t.get((0,) * (self.nvars + 1)) == 1
 
     def total_degree(self) -> int:
         """Maximum total degree of a term; -1 for the zero polynomial."""
@@ -136,25 +154,33 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo, Fraction(0)) + c
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
-        return MultiPoly(self.nvars, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other for sign in {1, -1}."""
+        out = dict(self.terms)
+        for expo, c in other.terms.items():
+            s = out.get(expo)
+            if s is None:
+                out[expo] = c if sign == 1 else -c
+            else:
+                s = s + c if sign == 1 else s - c
+                if s:
+                    out[expo] = s
+                else:
+                    del out[expo]
+        return MultiPoly._make(self.nvars, out)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -164,15 +190,13 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(expo, Fraction(0)) + c1 * c2
-                if s:
-                    out[expo] = s
-                else:
-                    out.pop(expo, None)
-        return MultiPoly(self.nvars, out)
+                expo = tuple(map(add, e1, e2))
+                s = get(expo)
+                out[expo] = c1 * c2 if s is None else s + c1 * c2
+        return MultiPoly._make(self.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -197,7 +221,7 @@ class MultiPoly:
                 ne = list(expo)
                 ne[index] = e - 1
                 out[tuple(ne)] = c * e
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._make(self.nvars, out)
 
     def evaluate(self, point) -> Fraction:
         """Value at a point given as nvars + 1 Fractions (x first)."""
@@ -405,7 +429,7 @@ class RatFunc:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             num, den = MultiPoly.zero(num.nvars), MultiPoly.one(num.nvars)
-        else:
+        elif not den.is_one():
             g = poly_gcd(num, den)
             if not g.is_one():
                 num, den = divexact(num, g), divexact(den, g)
@@ -415,6 +439,15 @@ class RatFunc:
                 num, den = num * inv, den * inv
         self.num = num
         self.den = den
+
+    @classmethod
+    def _make(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
+        """Trusted constructor: num/den must already be canonical (reduced,
+        den monic, zero as 0/1)."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
 
     @classmethod
     def const(cls, nvars: int, c) -> "RatFunc":
@@ -481,20 +514,21 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc._make(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RatFunc._make(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc._make(self.num - other.num, self.den)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -504,6 +538,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc._make(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -539,6 +575,8 @@ class RatFunc:
     def derivative(self, index: int) -> "RatFunc":
         """Partial derivative by the quotient rule, re-reduced."""
         n, d = self.num, self.den
+        if d.is_one():
+            return RatFunc._make(n.derivative(index), d)
         return RatFunc(n.derivative(index) * d - n * d.derivative(index), d * d)
 
     def evaluate(self, point) -> Fraction:

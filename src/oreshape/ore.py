@@ -55,6 +55,15 @@ class OreOperator:
         self.terms = cleaned
 
     @classmethod
+    def _make(cls, nvars: int, terms: dict[tuple[int, ...], RatFunc]) -> "OreOperator":
+        """Trusted constructor: `terms` must already be canonical (tuple keys,
+        nonzero RatFunc values of arity nvars) and becomes the new value's own dict."""
+        op = object.__new__(cls)
+        op.nvars = nvars
+        op.terms = terms
+        return op
+
+    @classmethod
     def zero(cls, nvars: int) -> "OreOperator":
         return cls(nvars, {})
 
@@ -136,12 +145,12 @@ class OreOperator:
                 out.pop(dm, None)
             else:
                 out[dm] = s
-        return OreOperator(self.nvars, out)
+        return OreOperator._make(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return OreOperator(self.nvars, {dm: -c for dm, c in self.terms.items()})
+        return OreOperator._make(self.nvars, {dm: -c for dm, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -158,7 +167,8 @@ class OreOperator:
             c = RatFunc.const(self.nvars, c)
         if c.is_zero():
             return OreOperator.zero(self.nvars)
-        return OreOperator(self.nvars, {dm: c * v for dm, v in self.terms.items()})
+        # K is a field: products of nonzero coefficients are nonzero
+        return OreOperator._make(self.nvars, {dm: c * v for dm, v in self.terms.items()})
 
     def _d_once(self, index: int) -> "OreOperator":
         """Left multiplication by the single symbol D_index."""
@@ -179,7 +189,7 @@ class OreOperator:
             dc = c.derivative(index)
             if not dc.is_zero():
                 acc(dm, dc)
-        return OreOperator(self.nvars, out)
+        return OreOperator._make(self.nvars, out)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -34,6 +34,11 @@ _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?
 
 _NVARS_DIRECTIVE = re.compile(r"^\s*#\s*nvars\b\s*[:=]?\s*(\d+)\s*$")
 
+# Deepest nesting of parentheses and unary minus signs a factor may sit in.
+# Each level costs at most five stack frames of the recursive descent, so
+# the parser stays far below Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str, line: int):
     tokens = []
@@ -55,6 +60,7 @@ class _Parser:
         self.line = line
         self.tokens = _tokenize(text, line)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -107,10 +113,17 @@ class _Parser:
         return acc
 
     def factor(self) -> OreOperator:
-        if self.peek()[1] == "-":
+        tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok[2])
+        if tok[1] == "-":
             self.take()
-            return -self.factor()
-        return self.power()
+            out = -self.factor()
+        else:
+            out = self.power()
+        self.depth -= 1
+        return out
 
     def power(self) -> OreOperator:
         base = self.atom()

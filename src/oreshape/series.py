@@ -21,7 +21,8 @@ recorded order of the result.
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
 finite exact Q-linear system in the p-coefficients.  A nontrivial kernel
-vector is re-verified against a deeper expansion (order + 4) before being
+vector is re-verified against a deeper expansion (order + 4, continuing the
+walk of the first expansion rather than starting over) before being
 reported: first each kernel basis vector, then, if none survives, the
 kernel's span, by solving the deeper equations restricted to it.  No
 verified vector means no dependence up to the stated bounds, a
@@ -59,8 +60,8 @@ class SolutionBasis:
     members: tuple[TruncSeries, ...]
 
 
-def _graded_monomials(nsyms: int, bound: int):
-    """Exponent tuples with total degree < bound, by degree then grevlex."""
+def _graded_monomials(nsyms: int, bound: int, start: int = 0):
+    """Exponent tuples with start <= total degree < bound, by degree then grevlex."""
     def exact(prefix, remaining, slots):
         if slots == 1:
             yield (*prefix, remaining)
@@ -68,44 +69,65 @@ def _graded_monomials(nsyms: int, bound: int):
         for e in range(remaining + 1):
             yield from exact((*prefix, e), remaining - e, slots - 1)
 
-    for d in range(bound):
+    for d in range(start, bound):
         yield from sorted(exact((), d, nsyms), key=grevlex_key)
+
+
+class _Expansion:
+    """The coefficient walk behind solve_series, resumable to a higher order.
+
+    Holds the Taylor coefficients read off so far and the quotient
+    coordinates of the last degree layer walked, which is all the next
+    layer needs; solution(order) walks only the layers below `order` not yet
+    reached."""
+
+    def __init__(self, act):
+        self.act = act
+        self.reached = 0
+        self.layer = {}
+        self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
+
+    def solution(self, order: int) -> SolutionBasis:
+        act = self.act
+        r = act.r
+        nvars = act.nvars
+        if r == 0:
+            return SolutionBasis(nvars, 0, order, (), ())
+        origin = (Fraction(0),) * (nvars + 1)
+        for d in range(self.reached, order):
+            layer = {}
+            for m in _graded_monomials(nvars + 1, d + 1, d):
+                if d == 0:
+                    cm = act.unit()
+                else:
+                    t = next(i for i, e in enumerate(m) if e)
+                    prev = list(m)
+                    prev[t] -= 1
+                    cm = act.apply(t, self.layer[tuple(prev)])
+                layer[m] = cm
+                fact = 1
+                for e in m:
+                    fact *= factorial(e)
+                for k in range(r):
+                    try:
+                        val = cm[k].evaluate(origin)
+                    except PoleAtPoint:
+                        raise NonOrdinaryOrigin(
+                            f"quotient coordinate for derivative monomial {m} has a pole at 0"
+                        ) from None
+                    if val:
+                        self.coeff_dicts[k][m] = val / fact
+            self.layer = layer
+        self.reached = max(self.reached, order)
+        members = tuple(TruncSeries(nvars, order, d) for d in self.coeff_dicts)
+        return SolutionBasis(nvars, r, order, tuple(act.basis), members)
 
 
 def solve_series(gb: GroebnerBasis, order: int = 8) -> SolutionBasis:
     """Expand the canonical solution basis to guaranteed order `order`."""
     if order < 1:
         raise TruncationTooSmall("series order must be at least 1")
-    act = quotient_action(gb)
-    r = act.r
-    nvars = gb.nvars
-    if r == 0:
-        return SolutionBasis(nvars, 0, order, (), ())
-    origin = (Fraction(0),) * (nvars + 1)
-    zero_m = (0,) * (nvars + 1)
-    coords = {zero_m: act.unit()}
-    coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(r)]
-    for m in _graded_monomials(nvars + 1, order):
-        if m != zero_m:
-            t = next(i for i, e in enumerate(m) if e)
-            prev = list(m)
-            prev[t] -= 1
-            coords[m] = act.apply(t, coords[tuple(prev)])
-        cm = coords[m]
-        fact = 1
-        for e in m:
-            fact *= factorial(e)
-        for k in range(r):
-            try:
-                val = cm[k].evaluate(origin)
-            except PoleAtPoint:
-                raise NonOrdinaryOrigin(
-                    f"quotient coordinate for derivative monomial {m} has a pole at 0"
-                ) from None
-            if val:
-                coeff_dicts[k][m] = val / fact
-    members = tuple(TruncSeries(nvars, order, d) for d in coeff_dicts)
-    return SolutionBasis(nvars, r, order, tuple(act.basis), members)
+    return _Expansion(quotient_action(gb)).solution(order)
 
 
 def _det(rows: list[list[TruncSeries]]) -> TruncSeries:
@@ -225,7 +247,8 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     about these bounds."""
     if order <= degree_bound:
         raise TruncationTooSmall("series order must exceed degree_bound")
-    sol = solve_series(gb, order)
+    expansion = _Expansion(quotient_action(gb))
+    sol = expansion.solution(order)
     r = sol.r
     nvars = gb.nvars
     if r == 0:
@@ -245,7 +268,7 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     kernel = _kernel_basis(rows, len(cols))
     if not kernel:
         return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
-    deep = solve_series(gb, order + 4)
+    deep = expansion.solution(order + 4)
 
     def polys_of(vec):
         polys = [{} for _ in range(r)]

@@ -156,6 +156,44 @@ def monomials_below(nvars, bound):
     return out
 
 
+def grevlex_lead(terms):
+    """Leading exponent of a {exponent tuple: coefficient} dict in graded
+    reverse lexicographic order, x > y1 > ... > yn."""
+    return max(terms, key=lambda e: (sum(e), tuple(-a for a in reversed(e))))
+
+
+# ---------------------------------------------------------------------------
+# canonical-form contract of values built by the trusted constructors
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(value):
+    """A MultiPoly, RatFunc or OreOperator holds tuple keys of the right
+    length and no zero coefficients (Fractions only, in a MultiPoly), and
+    equals the public constructor rebuilt from the same parts."""
+    from oreshape.arith import MultiPoly, RatFunc
+    from oreshape.ore import OreOperator
+
+    if isinstance(value, MultiPoly):
+        for expo, c in value.terms.items():
+            assert type(expo) is tuple and len(expo) == value.nvars + 1, expo
+            assert type(c) is Fraction and c != 0, (expo, c)
+        assert MultiPoly(value.nvars, dict(value.terms)) == value
+    elif isinstance(value, RatFunc):
+        assert_canonical(value.num)
+        assert_canonical(value.den)
+        rebuilt = RatFunc(value.num, value.den)
+        assert (rebuilt.num.terms, rebuilt.den.terms) == (value.num.terms, value.den.terms)
+    elif isinstance(value, OreOperator):
+        for dm, c in value.terms.items():
+            assert type(dm) is tuple and len(dm) == value.nvars + 1, dm
+            assert isinstance(c, RatFunc) and c.nvars == value.nvars and not c.is_zero(), (dm, c)
+            assert_canonical(c)
+        assert OreOperator(value.nvars, dict(value.terms)) == value
+    else:
+        raise TypeError(f"not a canonical value type: {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # reference series built straight from factorial formulas
 # ---------------------------------------------------------------------------

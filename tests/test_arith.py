@@ -14,7 +14,17 @@ import pytest
 from oreshape.arith import MultiPoly, RatFunc, divexact, format_poly, poly_gcd
 from oreshape.errors import ArityError, DivisionByZero, PoleAtPoint
 
-from _helpers import d1_mul, d1_scale, d1_sub, poly_on_line, rand_point, rand_poly, rand_ratfunc
+from _helpers import (
+    assert_canonical,
+    d1_mul,
+    d1_scale,
+    d1_sub,
+    grevlex_lead,
+    poly_on_line,
+    rand_point,
+    rand_poly,
+    rand_ratfunc,
+)
 
 
 def P(nvars):
@@ -305,3 +315,92 @@ def test_format_poly_ordering_and_signs():
 def test_names_with_two_parameters():
     p = MultiPoly.var(2, 1) * MultiPoly.var(2, 2) ** 2
     assert format_poly(p) == "y1*y2^2"
+
+
+# ---------------------------------------------------------------------------
+# canonical forms: the trusted constructors and an independent oracle
+# ---------------------------------------------------------------------------
+
+
+def _pairs(rng, nvars, count):
+    """Random (f, g) pairs: general, both polynomial, and pairs whose
+    difference, quotient or product cancels to a constant, or whose
+    difference or sum cancels to zero."""
+    out = []
+    for _ in range(count):
+        f = rand_ratfunc(rng, nvars)
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        out.append((f, rand_ratfunc(rng, nvars)))
+        out.append((rand_ratfunc(rng, nvars, poly_only=True), rand_ratfunc(rng, nvars, poly_only=True)))
+        out.append((f, f - c))
+        out.append((f, f * c))
+        out.append((f, f))
+        out.append((f, -f))
+        if not f.is_zero():
+            out.append((f, RatFunc.const(nvars, c) / f))
+    return out
+
+
+def _results(f, g):
+    yield f + g
+    yield f - g
+    yield f * g
+    yield -f
+    if not g.is_zero():
+        yield f / g
+    for var in range(f.nvars + 1):
+        yield f.derivative(var)
+
+
+def test_trusted_constructors_keep_the_canonical_form():
+    rng = random.Random(107)
+    for nvars in (1, 2):
+        for _ in range(30):
+            p = rand_poly(rng, nvars)
+            q = rand_poly(rng, nvars)
+            for value in (p + q, p - q, p * q, -p, p - p, p + (-p), p * 0, p**2, p + 1, 2 - p):
+                assert_canonical(value)
+            for var in range(nvars + 1):
+                assert_canonical(p.derivative(var))
+        for f, g in _pairs(rng, nvars, 10):
+            for value in _results(f, g):
+                assert_canonical(value)
+
+
+def test_canonical_forms_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(f, syms):
+        def poly(p):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, expo)))
+                 for expo, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        return poly(f.num) / poly(f.den)
+
+    def from_sympy(expr, syms):
+        def terms(p):
+            return {
+                expo: Fraction(int(c.p), int(c.q))
+                for expo, c in sympy.Poly(p, *syms).terms()
+                if c != 0
+            }
+
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        num, den = terms(num), terms(den)
+        lc = den[grevlex_lead(den)]
+        return {e: c / lc for e, c in num.items()}, {e: c / lc for e, c in den.items()}
+
+    rng = random.Random(108)
+    for nvars in (1, 2):
+        syms = sympy.symbols(f"x y1:{nvars + 1}")
+        for f, g in _pairs(rng, nvars, 6):
+            sf, sg = to_sympy(f, syms), to_sympy(g, syms)
+            expected = [sf + sg, sf - sg, sf * sg, -sf]
+            if not g.is_zero():
+                expected.append(sf / sg)
+            expected.extend(sympy.diff(sf, s) for s in syms)
+            for got, want in zip(_results(f, g), expected, strict=True):
+                assert (got.num.terms, got.den.terms) == from_sympy(want, syms), (f, g, got)

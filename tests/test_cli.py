@@ -16,7 +16,7 @@ import pytest
 from oreshape.cli import main
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import format_operator
-from oreshape.parsing import parse_ideal_file
+from oreshape.parsing import MAX_NESTING, parse_ideal_file
 
 from _helpers import rand_operator
 
@@ -259,6 +259,15 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["error"]["type"] == "InternalError"
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys, monkeypatch):
+    deepest = "(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1) + "\n"
+    assert run(capsys, "parse", "-", stdin=deepest, monkeypatch=monkeypatch)[:2] == (0, "# nvars 1\nx\n")
+    for text in ("(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "(" * MAX_NESTING + "x" + ")" * MAX_NESTING):
+        code, out, err = run(capsys, "parse", "-", stdin=text + "\n", monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error: ") and "nested deeper" in err and "Traceback" not in err
 
 
 def test_missing_file_is_reported(capsys):

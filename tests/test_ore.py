@@ -16,7 +16,7 @@ from oreshape.arith import MultiPoly, RatFunc
 from oreshape.errors import PoleAtOrigin, TruncationTooSmall
 from oreshape.ore import OreOperator, TruncSeries, ratfunc_to_series
 
-from _helpers import exp_series, poly_times_exp_series, rand_operator, rand_series
+from _helpers import assert_canonical, exp_series, poly_times_exp_series, rand_operator, rand_ratfunc, rand_series
 
 
 def sym(nvars):
@@ -77,6 +77,20 @@ def test_left_distributivity_random():
         c = rand_operator(rng, 1)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
+
+
+def test_trusted_constructors_keep_the_canonical_form():
+    rng = random.Random(205)
+    for nvars in (1, 2):
+        ds, _, _ = sym(nvars)
+        for k in range(20):
+            a = rand_operator(rng, nvars, rat_coeffs=k % 2 == 0)
+            b = rand_operator(rng, nvars)
+            c = rand_ratfunc(rng, nvars)
+            values = [a + b, a - b, a * b, -a, a - a, a + (-a), a.scale(c), a.scale(0), a.scale(3)]
+            values += [d * a for d in ds]
+            for value in values:
+                assert_canonical(value)
 
 
 # ---------------------------------------------------------------------------

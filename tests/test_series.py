@@ -23,6 +23,7 @@ from oreshape.series import (
     DEPENDENCE_FOUND,
     NO_DEPENDENCE,
     DRadicalVerdict,
+    _Expansion,
     _graded_monomials,
     _kernel_basis,
     d_radical_check,
@@ -30,7 +31,7 @@ from oreshape.series import (
     solve_series,
     wronskian_x,
 )
-from oreshape.shape import in_normal_position, shear_ideal
+from oreshape.shape import QuotientAction, in_normal_position, quotient_action, shear_ideal
 
 from _helpers import exp_series, monomials_below, poly_times_exp_series
 
@@ -313,3 +314,29 @@ def test_dependence_found_on_span_of_kernel_basis():
     sol = solve_series(gb, order=16)
     for expo in monomials_below(1, 16):
         assert combo_coefficient(v.witness, sol.members, expo) == 0
+
+
+def test_resumed_expansion_matches_fresh_one():
+    for name in ("two_points", "double_point", "nilpotent_y"):
+        gb = fixture_gb(name)
+        expansion = _Expansion(quotient_action(gb))
+        for order in (3, 7, 5, 11):
+            assert expansion.solution(order) == solve_series(gb, order)
+
+
+def test_dependence_check_expands_each_monomial_once(monkeypatch):
+    calls = []
+    apply = QuotientAction.apply
+
+    def counting(self, t, v):
+        calls.append(t)
+        return apply(self, t, v)
+
+    monkeypatch.setattr(QuotientAction, "apply", counting)
+    # one derivative step per monomial of total degree 1..order + 3
+    assert d_radical_check(fixture_gb("double_point"), order=10).tag == DEPENDENCE_FOUND
+    assert len(calls) == len(list(_graded_monomials(2, 14))) - 1
+    # no kernel: the deeper expansion never runs
+    calls.clear()
+    assert d_radical_check(fixture_gb("two_points"), degree_bound=1, order=10).tag == NO_DEPENDENCE
+    assert len(calls) == len(list(_graded_monomials(2, 10))) - 1
