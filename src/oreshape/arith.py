@@ -8,12 +8,26 @@ new value, and construction canonicalizes (zero coefficients dropped).
 
 A rational function is a reduced fraction num/den of two such polynomials.
 The representation is pinned so that equal field elements compare equal as
-Python objects: gcd(num, den) = 1 with the gcd computed by a primitive
-polynomial remainder sequence over Z, and den monic with respect to the
-graded reverse lexicographic order with x > y1 > ... > yn.  The zero element
-is 0/1.  A unit denominator is reduced and monic by definition, so num/1
-is canonical without a gcd: construction skips it, and +, -, * and
-derivative build the result directly when both denominators are 1.
+Python objects: gcd(num, den) = 1, and den monic with respect to the graded
+reverse lexicographic order with x > y1 > ... > yn.  The zero element is
+0/1.  A unit denominator is reduced and monic by definition, so num/1 is
+canonical without a gcd: construction skips it, and +, -, * and derivative
+build the result directly when both denominators are 1.
+
+poly_gcd clears denominators and works over Z.  It runs the heuristic gcd
+GCDHEU (Char, Geddes and Gonnet, JSC 1989): evaluate one variable at an
+integer xi >= 2*min(|f|_inf, |g|_inf) + 2, recurse down to math.gcd, rebuild
+the candidate from balanced xi-adic digits, and accept it only if it divides
+both inputs exactly, which at that xi proves it is the gcd (the theorem is
+stated at _heu_gcd).  After HEU_GCD_MAX growing points it falls back to a
+primitive polynomial remainder sequence.  Either way the gcd is a function
+of its inputs (primitive over Z, positive grevlex lead), so canonical forms
+do not depend on which algorithm found it.
+
+Sums and products use Henrici's reductions (Knuth, TAOCP vol. 2, 4.5.1) and
+never reduce a product of denominators from scratch: a/b + c/d takes
+g = gcd(b, d) and reduces only against g (nothing at all when g = 1), and
+a/b * c/d cancels gcd(a, d) and gcd(c, b) crosswise before multiplying.
 
 Each value class has a private trusted constructor, _make, that skips all
 checks and copies nothing.  It may only receive parts that are canonical
@@ -28,8 +42,9 @@ not a term order for reduction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as int_gcd, lcm as int_lcm
-from operator import add
+from heapq import heapify, heappop, heappush
+from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
+from operator import add, gt, neg, sub
 
 from .errors import ArityError, DivisionByZero, PoleAtPoint
 
@@ -286,16 +301,161 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery: primitive polynomial remainder sequences over Z
+# gcd machinery over Z: the heuristic gcd, with a primitive polynomial
+# remainder sequence as its fallback
 # ---------------------------------------------------------------------------
 
+# Evaluation points the heuristic gcd tries at one level before poly_gcd
+# falls back to the remainder sequence.
+HEU_GCD_MAX = 6
 
-def _clear_denominators(p: MultiPoly) -> MultiPoly:
-    """Scale by the lcm of coefficient denominators; result has integer coeffs."""
-    if p.is_zero():
-        return p
+
+def _to_z(p: MultiPoly) -> tuple[dict[tuple[int, ...], int], int]:
+    """(terms, m) with integer terms and p = terms / m, m the lcm of the
+    coefficient denominators."""
     m = int_lcm(*(c.denominator for c in p.terms.values()))
-    return p * Fraction(m) if m != 1 else p
+    return {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}, m
+
+
+def _z_is_constant(f: dict) -> bool:
+    return len(f) == 1 and not any(next(iter(f)))
+
+
+def _z_content(f: dict) -> tuple[int, dict]:
+    """(c, f / c) for c the integer content of f."""
+    c = int_gcd(*f.values())
+    return c, (f if c == 1 else {e: x // c for e, x in f.items()})
+
+
+def _z_primitive(f: dict) -> dict:
+    """f over its integer content, signed so the grevlex-leading coefficient is positive."""
+    g = int_gcd(*f.values())
+    if f[max(f, key=grevlex_key)] < 0:
+        g = -g
+    return f if g == 1 else {e: c // g for e, c in f.items()}
+
+
+def _z_eval(f: dict, v: int, xi: int) -> dict:
+    """f with variable v set to xi; position v of every exponent becomes 0."""
+    powers = [1]
+    for _ in range(max(e[v] for e in f)):
+        powers.append(powers[-1] * xi)
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in f.items():
+        k = e[v]
+        if k:
+            e = e[:v] + (0,) + e[v + 1:]
+            c *= powers[k]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _z_interpolate(gamma: dict, v: int, xi: int) -> dict:
+    """The polynomial whose coefficients in variable v are the balanced
+    xi-adic digits (absolute value at most xi/2) of gamma's coefficients."""
+    half = xi // 2
+    out = {}
+    for e, c in gamma.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:v] + (k,) + e[v + 1:]] = d
+            c = (c - d) // xi
+            k += 1
+    return out
+
+
+def _z_divide(f: dict, h: dict) -> dict | None:
+    """Exact quotient f / h of integer polynomials, or None if h does not
+    divide f in Z[x, y1..yn].
+
+    Terms are cancelled in decreasing lex order.  A step only adds terms
+    below the one it cancels, so a heap of the remainder's exponents (with
+    stale entries skipped) yields its leading term without a scan.  An exact
+    quotient has degree deg(f) - deg(h) in each variable, so a quotient term
+    outside that box ends the division, and a wrong gcd candidate costs at
+    most one step per monomial of the box."""
+    if not f:
+        return {}
+    hl = max(h)
+    hc = h[hl]
+    box = [max(e[i] for e in f) - max(e[i] for e in h) for i in range(len(hl))]
+    tail = [(e, c) for e, c in h.items() if e != hl]
+    r = dict(f)
+    heap = [tuple(map(neg, e)) for e in r]
+    heapify(heap)
+    q = {}
+    while heap:
+        e = tuple(map(neg, heappop(heap)))
+        c = r.pop(e, 0)
+        if not c:
+            continue
+        qc, rem = divmod(c, hc)
+        qe = tuple(map(sub, e, hl))
+        if rem or min(qe) < 0 or any(map(gt, qe, box)):
+            return None
+        q[qe] = qc
+        for te, tc in tail:
+            k = tuple(map(add, qe, te))
+            s = r.get(k)
+            if s is None:
+                r[k] = -qc * tc
+                heappush(heap, tuple(map(neg, k)))
+            else:
+                s -= qc * tc
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+    return q
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """gcd of two nonzero integer polynomials, up to sign and with their
+    common integer content, by GCDHEU (Char, Geddes and Gonnet, JSC 1989);
+    None if HEU_GCD_MAX evaluation points at some level all fail.
+
+    The last variable v that occurs is set to an integer xi, the gcd gamma
+    of the two images is taken recursively (math.gcd once no variable is
+    left), and the candidate h is the primitive part of the polynomial whose
+    v-coefficients are the balanced xi-adic digits of gamma.  It is accepted
+    only if it divides both inputs exactly.  That test proves it correct:
+
+    Theorem (Char, Geddes, Gonnet).  Let f, g in Z[v1..vk] be nonzero with
+    integer content 1, and xi >= 2*min(|f|_inf, |g|_inf) + 2.  Let gamma =
+    gcd(f(v1..vk-1, xi), g(v1..vk-1, xi)) in Z[v1..vk-1], and let H have as
+    vk-coefficients the balanced xi-adic digits of gamma.  If pp(H) divides
+    f and g, then pp(H) = +-gcd(f, g).
+
+    Every xi tried here satisfies the bound, and gamma is exact (math.gcd,
+    or an answer accepted by the same test one level down), so an accepted
+    candidate is the gcd and no answer rests on chance.
+    """
+    cf, f = _z_content(f)
+    cg, g = _z_content(g)
+    c = int_gcd(cf, cg)
+    if _z_is_constant(f) or _z_is_constant(g):
+        return {(0,) * len(next(iter(f))): c}
+    v = max(i for e in (*f, *g) for i, k in enumerate(e) if k)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(HEU_GCD_MAX):
+        ff, gg = _z_eval(f, v, xi), _z_eval(g, v, xi)
+        # the image of the input of least norm is never 0 (no root reaches xi)
+        gamma = _heu_gcd(ff, gg) if ff and gg else ff or gg
+        if gamma is not None:
+            _, h = _z_content(_z_interpolate(gamma, v, xi))
+            if _z_divide(f, h) is not None and _z_divide(g, h) is not None:
+                return h if c == 1 else {e: x * c for e, x in h.items()}
+        # the published growth rule, about 2.7 * xi^1.25, keeps xi above the bound
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+# The fallback: a primitive polynomial remainder sequence on MultiPoly values
+# with integer coefficients.
 
 
 def _int_content(p: MultiPoly) -> int:
@@ -354,24 +514,6 @@ def _prem(u: MultiPoly, w: MultiPoly, v: int) -> MultiPoly:
     return r
 
 
-def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact quotient a / b; raises if b does not divide a."""
-    if b.is_zero():
-        raise DivisionByZero("exact division by the zero polynomial")
-    out = MultiPoly.zero(a.nvars)
-    r = a
-    be, bc = b.lead()
-    while not r.is_zero():
-        re, rc = r.lead()
-        qe = tuple(i - j for i, j in zip(re, be))
-        if any(e < 0 for e in qe):
-            raise ValueError("inexact polynomial division")
-        q = MultiPoly(a.nvars, {qe: rc / bc})
-        out = out + q
-        r = r - q * b
-    return out
-
-
 def _content_pp(p: MultiPoly, v: int) -> tuple[MultiPoly, MultiPoly]:
     """(content, primitive part) of p viewed as univariate in v."""
     cont = MultiPoly.zero(p.nvars)
@@ -404,15 +546,49 @@ def _gcd_z(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _normalize_z(c * _normalize_z(u))
 
 
+def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Exact quotient a / b; raises if b does not divide a.
+
+    Divides a's integer terms by the primitive part of b's.  By Gauss's
+    lemma a primitive polynomial that divides an integer polynomial over Q
+    divides it over Z, so the integer division is exact whenever a / b is."""
+    if b.is_zero():
+        raise DivisionByZero("exact division by the zero polynomial")
+    f, fm = _to_z(a)
+    h, hm = _to_z(b)
+    hc, h = _z_content(h)
+    q = _z_divide(f, h)
+    if q is None:
+        raise ValueError("inexact polynomial division")
+    # a / b = (f / fm) / (hc * h / hm) = q * hm / (fm * hc)
+    den = fm * hc
+    return MultiPoly._make(a.nvars, {e: Fraction(c * hm, den) for e, c in q.items()})
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """gcd in Q[x, y1..yn], normalized primitive over Z with positive lead.
 
     Defined up to a constant over the field; this normalization makes it a
-    function, which is what the reduced-fraction canonical form needs.
+    function, which is what the reduced-fraction canonical form needs.  A
+    constant argument gives the integer gcd of the two contents.  The
+    heuristic gcd computes it; the remainder sequence takes over when the
+    heuristic gives up.
     """
     if a.nvars != b.nvars:
         raise ArityError(f"mixed arities: nvars {a.nvars} vs {b.nvars}")
-    return _gcd_z(_clear_denominators(a), _clear_denominators(b))
+    f, _ = _to_z(a)
+    g, _ = _to_z(b)
+    if not f or not g:
+        h = f or g
+        if not h:
+            return MultiPoly.zero(a.nvars)
+    elif _z_is_constant(f) or _z_is_constant(g):
+        return MultiPoly.const(a.nvars, int_gcd(*f.values(), *g.values()))
+    else:
+        h = _heu_gcd(f, g)
+        if h is None:
+            return _gcd_z(MultiPoly(a.nvars, f), MultiPoly(b.nvars, g))
+    return MultiPoly._make(a.nvars, {e: Fraction(c) for e, c in _z_primitive(h).items()})
 
 
 class RatFunc:
@@ -430,13 +606,7 @@ class RatFunc:
         if num.is_zero():
             num, den = MultiPoly.zero(num.nvars), MultiPoly.one(num.nvars)
         elif not den.is_one():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num, den = divexact(num, g), divexact(den, g)
-            _, lc = den.lead()
-            if lc != 1:
-                inv = 1 / lc
-                num, den = num * inv, den * inv
+            num, den = _monic(*_cancel(num, den))
         self.num = num
         self.den = den
 
@@ -514,9 +684,19 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc._make(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFunc._make(a + c, b) if b.is_one() else RatFunc(a + c, b)
+        # Henrici: with b, d reduced against a, c, a factor shared by the
+        # sum's numerator and b*d must divide g = gcd(b, d).  With g = 1 the
+        # sum is canonical already: b*d is monic as a product of monic values.
+        # The sum is not 0 here, since -(c/d) has the denominator d != b.
+        g = poly_gcd(b, d)
+        if g.is_one():
+            return RatFunc._make(a * d + c * b, b * d)
+        b, d = divexact(b, g), divexact(d, g)
+        t, g = _cancel(a * d + c * b, g)
+        return RatFunc._make(*_monic(t, b * d * g))
 
     __radd__ = __add__
 
@@ -540,7 +720,7 @@ class RatFunc:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFunc._make(self.num * other.num, self.den)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _times(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -550,7 +730,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _times(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -559,18 +739,13 @@ class RatFunc:
         return other / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            if self.is_zero():
-                raise DivisionByZero("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-k)
-        out = RatFunc.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        """Powers of coprime num and den stay coprime, and a power of a
+        monic den is monic, so no gcd is needed."""
+        if k >= 0:
+            return RatFunc._make(self.num**k, self.den**k)
+        if self.is_zero():
+            raise DivisionByZero("negative power of zero")
+        return RatFunc._make(*_monic(self.den ** (-k), self.num ** (-k)))
 
     def derivative(self, index: int) -> "RatFunc":
         """Partial derivative by the quotient rule, re-reduced."""
@@ -596,6 +771,36 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def _cancel(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """p and q divided by their gcd."""
+    if q.is_one():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_one():
+        return p, q
+    return divexact(p, g), divexact(q, g)
+
+
+def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num and den scaled so that den's grevlex-leading coefficient is 1."""
+    _, lc = den.lead()
+    if lc == 1:
+        return num, den
+    inv = 1 / lc
+    return num * inv, den * inv
+
+
+def _times(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly) -> RatFunc:
+    """(a/b)*(c/d) for reduced a/b and c/d, by Henrici's cross-cancellation
+    (Knuth, TAOCP vol. 2, 4.5.1): once gcd(a, d) and gcd(c, b) are divided
+    out the product is reduced, so b*d is never formed and then reduced."""
+    if a.is_zero() or c.is_zero():
+        return RatFunc.zero(a.nvars)
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return RatFunc._make(*_monic(a * c, b * d))
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,8 @@ def _check_flags(args):
         value = getattr(args, flag, 0)
         if value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least 0, got {value}")
+    if getattr(args, "trunc", 1) < 1:
+        raise ValueError(f"--trunc must be at least 1, got {args.trunc}")
 
 
 def main(argv=None) -> int:

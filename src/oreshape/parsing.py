@@ -39,6 +39,11 @@ _NVARS_DIRECTIVE = re.compile(r"^\s*#\s*nvars\b\s*[:=]?\s*(\d+)\s*$")
 # the parser stays far below Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
+# Largest exponent '^' accepts, checked before the power is computed:
+# without it Dx^100000000000 never returned.  It is far above the
+# completion's default degree cap of 30.
+MAX_EXPONENT = 1000
+
 
 def _tokenize(text: str, line: int):
     tokens = []
@@ -135,6 +140,8 @@ class _Parser:
             self.take()
             negative = True
         tok = self.expect("int")
+        if len(tok[1].lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+            self.fail(f"exponent larger than {MAX_EXPONENT}", tok[2])
         e = int(tok[1])
         if not negative:
             return base**e

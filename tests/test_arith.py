@@ -6,11 +6,14 @@ derivatives by an h^3-divisibility test on symmetric difference quotients,
 both implemented with dense Fraction lists in tests/_helpers.py.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from oreshape import arith
 from oreshape.arith import MultiPoly, RatFunc, divexact, format_poly, poly_gcd
 from oreshape.errors import ArityError, DivisionByZero, PoleAtPoint
 
@@ -154,6 +157,119 @@ def test_gcd_random_products():
         cu = divexact(u * w, g)
         cv = divexact(v * w, g)
         assert poly_gcd(cu, cv).is_constant()
+
+
+def test_divexact_over_q():
+    x, y, one = P(1)
+    b = x * Fraction(1, 2) + y * Fraction(1, 3)
+    q = 3 * x - y * Fraction(1, 5) + Fraction(7, 4)
+    assert divexact(b * q, b) == q
+    assert divexact(b * q, 6 * b) == q * Fraction(1, 6)
+    assert divexact(MultiPoly.zero(1), b).is_zero()
+    assert divexact(q * (4 * x + 6 * y), 4 * x + 6 * y) == q
+    assert divexact(x + y, 2 * x + 2 * y) == MultiPoly.const(1, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        divexact(x * x + one, x)
+    with pytest.raises(ValueError):
+        divexact(x * x, 2 * x + one)
+    with pytest.raises(ValueError):
+        divexact(x * y + one, x + y)
+    with pytest.raises(DivisionByZero):
+        divexact(x, MultiPoly.zero(1))
+
+
+def _dense_poly(rng, nvars, deg, coeff_range=9):
+    """Nonzero polynomial holding about 70% of the monomials of total degree
+    at most deg, with random integer coefficients."""
+    monomials = [e for e in itertools.product(range(deg + 1), repeat=nvars + 1) if sum(e) <= deg]
+    while True:
+        p = MultiPoly(nvars, {e: Fraction(rng.randint(-coeff_range, coeff_range))
+                              for e in monomials if rng.random() < 0.7})
+        if not p.is_zero():
+            return p
+
+
+def _gcd_cases(rng, shapes):
+    """(h*a, h*b) for each (nvars, deg h, deg a = deg b) in shapes, scaled
+    by random rationals; deg h = 0 makes the pair coprime, almost surely."""
+    out = []
+    for nvars, dh, da in shapes:
+        h = _dense_poly(rng, nvars, dh)
+        a, b = _dense_poly(rng, nvars, da), _dense_poly(rng, nvars, da)
+        out.append((h * a * Fraction(1, rng.randint(1, 6)), h * b * Fraction(rng.randint(1, 5), rng.randint(1, 7))))
+    return out
+
+
+def _primitive(terms):
+    """{exponent: rational} scaled to integer content 1, grevlex lead positive."""
+    m = lcm(*(Fraction(c).denominator for c in terms.values()))
+    ints = {e: int(Fraction(c) * m) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    if ints[grevlex_lead(ints)] < 0:
+        g = -g
+    return {e: Fraction(c // g) for e, c in ints.items()}
+
+
+GCD_SHAPES = (
+    (1, 0, 3), (1, 0, 6), (1, 1, 1), (1, 1, 5), (1, 2, 2), (1, 2, 4), (1, 3, 3),
+    (1, 4, 2), (1, 5, 5), (1, 6, 1), (2, 0, 3), (2, 1, 2), (2, 2, 2), (2, 3, 1), (2, 3, 3),
+)
+
+
+def test_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(111)
+    for f, g in _gcd_cases(rng, GCD_SHAPES + GCD_SHAPES):
+        syms = sympy.symbols(f"x y1:{f.nvars + 1}")
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(_primitive(p.terms), syms, domain=sympy.ZZ)
+
+        want = {e: Fraction(int(c)) for e, c in to_sympy(f).gcd(to_sympy(g)).terms()}
+        assert poly_gcd(f, g).terms == _primitive(want), (f, g)
+
+
+def test_gcd_fallback_gives_the_same_answers(monkeypatch):
+    rng = random.Random(112)
+    shapes = ((1, 0, 2), (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 0, 1), (2, 1, 1))
+    cases = _gcd_cases(rng, shapes + shapes)
+    want = [poly_gcd(f, g) for f, g in cases]
+    prs_calls = []
+    prs = arith._gcd_z
+    monkeypatch.setattr(arith, "HEU_GCD_MAX", 0)
+    monkeypatch.setattr(arith, "_gcd_z", lambda f, g: prs_calls.append(1) or prs(f, g))
+    assert [poly_gcd(f, g) for f, g in cases] == want
+    assert prs_calls
+
+
+def test_gcd_of_the_runaway_pair_is_one(monkeypatch):
+    """The first S-polynomial in completing the gauge of <(Dx-1)(Dx-2), Dy-Dx>
+    by (x^2+1)*Dx + y*Dy + x adds a/b + c/d with a*d + c*b and b*d coprime
+    of bidegree (12, 6).  The remainder sequence did not finish their gcd in
+    30 s; Henrici's addition no longer asks for it, so it is rebuilt here."""
+    from oreshape.gb import TermOrder, groebner_basis
+    from oreshape.parsing import parse_ideal_file, parse_operator
+    from oreshape.shape import gauge_transform
+
+    _, ops = parse_ideal_file("# nvars 1\n(Dx - 1)*(Dx - 2)\nDy - Dx\n")
+    order = TermOrder.degrevlex(1)
+    gens = gauge_transform(groebner_basis(ops, order), parse_operator("(x^2 + 1)*Dx + y*Dy + x", 1)).generators()
+
+    class Found(Exception):
+        pass
+
+    def catch(f, g):
+        if isinstance(g, RatFunc):
+            pair = (f.num * g.den + g.num * f.den, f.den * g.den)
+            if all((p.degree_in(0), p.degree_in(1)) == (12, 6) for p in pair):
+                raise Found(*pair)
+        return add(f, g)
+
+    add = RatFunc.__add__
+    monkeypatch.setattr(RatFunc, "__add__", catch)
+    with pytest.raises(Found) as found:
+        groebner_basis(gens, order)
+    assert poly_gcd(*found.value.args).is_one()
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +457,33 @@ def _pairs(rng, nvars, count):
     return out
 
 
+def _henrici_pairs(rng, nvars, count):
+    """Pairs for each path of Henrici's + and *: equal denominators (one sum
+    cancelling to a polynomial), denominators sharing a nonconstant factor s
+    (one sum cancelling s), and products and quotients whose cross factors
+    cancel."""
+
+    def poly(max_deg=1):
+        while True:
+            p = rand_poly(rng, nvars, max_deg=max_deg, nonzero=True)
+            if not p.is_constant():
+                return p
+
+    out = []
+    for _ in range(count):
+        f = rand_ratfunc(rng, nvars)
+        p = RatFunc(poly(2))
+        out.append((f, f + p))
+        out.append((f, p - f))
+        a, c, s, u, w = poly(2), poly(2), poly(), poly(), poly()
+        out.append((RatFunc(a, s * u), RatFunc(c, s * w)))
+        out.append((RatFunc(a * s, u), RatFunc(c, w * s)))
+        out.append((RatFunc(a * s, u * w), RatFunc(c * s, w)))
+        f = RatFunc(a, s * u)
+        out.append((f, RatFunc(c, u * w) - f))
+    return out
+
+
 def _results(f, g):
     yield f + g
     yield f - g
@@ -350,6 +493,9 @@ def _results(f, g):
         yield f / g
     for var in range(f.nvars + 1):
         yield f.derivative(var)
+    yield g**2
+    if not g.is_zero():
+        yield g**-1
 
 
 def test_trusted_constructors_keep_the_canonical_form():
@@ -362,7 +508,7 @@ def test_trusted_constructors_keep_the_canonical_form():
                 assert_canonical(value)
             for var in range(nvars + 1):
                 assert_canonical(p.derivative(var))
-        for f, g in _pairs(rng, nvars, 10):
+        for f, g in _pairs(rng, nvars, 10) + _henrici_pairs(rng, nvars, 6):
             for value in _results(f, g):
                 assert_canonical(value)
 
@@ -396,11 +542,14 @@ def test_canonical_forms_agree_with_sympy():
     rng = random.Random(108)
     for nvars in (1, 2):
         syms = sympy.symbols(f"x y1:{nvars + 1}")
-        for f, g in _pairs(rng, nvars, 6):
+        for f, g in _pairs(rng, nvars, 6) + _henrici_pairs(rng, nvars, 2):
             sf, sg = to_sympy(f, syms), to_sympy(g, syms)
             expected = [sf + sg, sf - sg, sf * sg, -sf]
             if not g.is_zero():
                 expected.append(sf / sg)
             expected.extend(sympy.diff(sf, s) for s in syms)
+            expected.append(sg**2)
+            if not g.is_zero():
+                expected.append(1 / sg)
             for got, want in zip(_results(f, g), expected, strict=True):
                 assert (got.num.terms, got.den.terms) == from_sympy(want, syms), (f, g, got)

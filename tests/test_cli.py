@@ -16,7 +16,7 @@ import pytest
 from oreshape.cli import main
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import format_operator
-from oreshape.parsing import MAX_NESTING, parse_ideal_file
+from oreshape.parsing import MAX_EXPONENT, MAX_NESTING, parse_ideal_file
 
 from _helpers import rand_operator
 
@@ -229,7 +229,7 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("solve", "-"), "x*Dx - 1\nDy\n", 3),
         (("wronskian", "-"), "Dx - 1\nDx - 2\n", 3),
         (("gb", "-"), "Dx^31\nDy\n", 4),
-        (("solve", "-", "--trunc", "0"), TWO_POINTS, 4),
+        (("wronskian", "-", "--trunc", "1"), TWO_POINTS, 4),
         (("normalize", "-", "--max-attempts", "1"), EXP_PAIR, 5),
         (("gauge", "-", "--max-attempts", "1"), EXP_PAIR, 5),
         (("eliminate", "-"), "", 2),
@@ -237,6 +237,10 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("gauge", "-", "--degree-bound", "-1"), EXP_PAIR, 2),
         (("gauge", "-", "--max-attempts", "0"), EXP_PAIR, 2),
         (("normalize", "-", "--coeff-range", "-1"), TWO_POINTS, 2),
+        (("solve", "-", "--trunc", "0"), TWO_POINTS, 2),
+        (("solve", "-", "--trunc", "-1"), TWO_POINTS, 2),
+        (("wronskian", "-", "--trunc", "-3"), TWO_POINTS, 2),
+        (("apply", "-", "--trunc", "0"), "Dx\n" + TWO_POINTS, 2),
     ],
 )
 def test_exit_codes(capsys, monkeypatch, argv, stdin, code):
@@ -268,6 +272,25 @@ def test_deep_nesting_is_a_parse_error(capsys, monkeypatch):
         code, out, err = run(capsys, "parse", "-", stdin=text + "\n", monkeypatch=monkeypatch)
         assert code == 2
         assert err.startswith("error: ") and "nested deeper" in err and "Traceback" not in err
+
+
+def test_exponent_above_the_cap_is_a_parse_error(capsys, monkeypatch):
+    code, out, _ = run(capsys, "parse", "-", stdin=f"x^{MAX_EXPONENT}*Dx\n", monkeypatch=monkeypatch)
+    assert code == 0 and out == f"# nvars 1\nx^{MAX_EXPONENT}*Dx\n"
+    for text in (f"Dx^{MAX_EXPONENT + 1}", "Dx^100000000000", "x^-" + "9" * 5000, "(x + 1)^00001001"):
+        code, out, err = run(capsys, "parse", "-", stdin=text + "\n", monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error: ") and "exponent larger than" in err and "Traceback" not in err
+
+
+def test_runaway_gauge_then_solve_completes(capsys, monkeypatch):
+    """The gauge whose completion in solve once ran for minutes in one gcd."""
+    code, out, _ = run(capsys, "gauge", "-", "--json", "--cyclic-vector", "(x^2 + 1)*Dx + y*Dy + x",
+                       stdin="(Dx - 1)*(Dx - 2)\nDy - Dx\n", monkeypatch=monkeypatch)
+    assert code == 0
+    gens = "# nvars 1\n" + "\n".join(json.loads(out)["result"]["generators"]) + "\n"
+    code, out, _ = run(capsys, "solve", "-", "--trunc", "6", stdin=gens, monkeypatch=monkeypatch)
+    assert code == 0 and out.startswith("dimension: 2\n")
 
 
 def test_missing_file_is_reported(capsys):
