@@ -20,6 +20,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -356,7 +357,9 @@ def cmd_gauge(args, inp: _Input):
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="oreshape",
         description="Exact computations with linear differential operators: "
@@ -475,8 +478,7 @@ def _check_flags(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         _check_flags(args)

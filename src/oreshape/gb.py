@@ -7,6 +7,12 @@ are of strictly smaller derivative order, the leading monomial and leading
 coefficient of D^delta * g are those of g shifted by delta, so ordinary
 Buchberger theory applies verbatim.
 
+Reduction is the textbook top-reduction: walk the remainder's terms from the
+top down; cancel a term divisible by a generator's leading monomial with the
+first such generator, and keep any other.  A step changes only terms below
+the one it cancels, so this makes exactly the reductions of repeatedly
+cancelling the largest reducible term.
+
 One consequence of the noncommutative coefficients is that the classical
 coprime-leading-monomial criterion is unsound here, so no pair-skipping
 criteria are used at all: every S-pair is generated and reduced.  Pairs are
@@ -17,37 +23,41 @@ into a clean DegreeCapExceeded instead of an endless loop.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import product
 
+from .arith import grevlex_key
 from .errors import ArityError, DegreeCapExceeded, NotZeroDimensional
 from .ore import OreOperator
+
+_KEYS = {
+    # graded reverse lexicographic, Dx > Dy1 > ... > Dyn
+    "degrevlex": grevlex_key,
+    # lexicographic, Dx > Dy1 > ... > Dyn: the exponent tuple itself
+    "lex": tuple,
+    # the Dyi by their own grevlex first, then Dx
+    "elim": lambda dm: (*grevlex_key(dm[1:]), dm[0], -dm[0]),
+}
 
 
 class TermOrder:
     """Monomial order on derivative exponent tuples, as a sort key.
 
-    kind is one of "degrevlex", "lex", "elim".  priority lists symbol indices
-    from most to least significant and defaults to Dx > Dy1 > ... > Dyn.
-    For "elim", the indices in `block` (default: all Dyi) are compared first
-    by their own graded reverse lexicographic order, then the rest; any
-    monomial involving a block symbol is larger than any block-free one, so
-    block-free members of a reduced basis generate the elimination ideal.
+    kind is one of "degrevlex", "lex", "elim", with Dx > Dy1 > ... > Dyn.
+    "elim" compares the Dyi first by their own graded reverse lexicographic
+    order, then Dx; any monomial involving a Dyi is larger than any
+    Dyi-free one, so Dyi-free members of a reduced basis generate the
+    elimination ideal.
     """
 
-    __slots__ = ("kind", "nvars", "priority", "block")
+    __slots__ = ("kind", "nvars", "key")
 
-    def __init__(self, kind: str, nvars: int, priority=None, block=None):
-        if kind not in ("degrevlex", "lex", "elim"):
+    def __init__(self, kind: str, nvars: int):
+        if kind not in _KEYS:
             raise ValueError(f"unknown term order {kind!r}")
         self.kind = kind
         self.nvars = nvars
-        self.priority = tuple(priority) if priority is not None else tuple(range(nvars + 1))
-        if sorted(self.priority) != list(range(nvars + 1)):
-            raise ValueError("priority must be a permutation of the symbol indices")
-        if kind == "elim":
-            self.block = tuple(sorted(block)) if block is not None else tuple(range(1, nvars + 1))
-        else:
-            self.block = ()
+        self.key = _KEYS[kind]
 
     @classmethod
     def degrevlex(cls, nvars: int) -> "TermOrder":
@@ -58,34 +68,16 @@ class TermOrder:
         return cls("lex", nvars)
 
     @classmethod
-    def elim(cls, nvars: int, block=None) -> "TermOrder":
-        return cls("elim", nvars, block=block)
-
-    def _grevlex_part(self, dm, symbols):
-        return (sum(dm[s] for s in symbols), *(-dm[s] for s in reversed(symbols)))
-
-    def key(self, dm: tuple[int, ...]):
-        if self.kind == "lex":
-            return tuple(dm[s] for s in self.priority)
-        if self.kind == "degrevlex":
-            return self._grevlex_part(dm, [s for s in self.priority])
-        blockset = set(self.block)
-        first = [s for s in self.priority if s in blockset]
-        rest = [s for s in self.priority if s not in blockset]
-        return self._grevlex_part(dm, first) + self._grevlex_part(dm, rest)
+    def elim(cls, nvars: int) -> "TermOrder":
+        return cls("elim", nvars)
 
     def __eq__(self, other):
         if not isinstance(other, TermOrder):
             return NotImplemented
-        return (self.kind, self.nvars, self.priority, self.block) == (
-            other.kind,
-            other.nvars,
-            other.priority,
-            other.block,
-        )
+        return (self.kind, self.nvars) == (other.kind, other.nvars)
 
     def __hash__(self):
-        return hash((self.kind, self.nvars, self.priority, self.block))
+        return hash((self.kind, self.nvars))
 
     def __repr__(self):
         return f"TermOrder({self.kind!r}, nvars={self.nvars})"
@@ -98,31 +90,30 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
     """Full left normal form of f modulo the given generators.
 
-    Repeatedly cancels the largest monomial divisible by some leading
-    monomial, subtracting (c / lc(g)) * D^delta * g.  The result has no term
-    divisible by any generator's leading monomial.  Against a Groebner basis
-    this is the K-linear normal-form projection onto standard monomials.
+    Top-reduction: walk the remainder's terms from the largest down.  A term
+    c * D^m divisible by a generator's leading monomial is cancelled by
+    subtracting (c / lc(g)) * D^delta * g for the first such g; any other
+    term is kept.  Terms above the one cancelled never change, so this is
+    the same as cancelling the largest divisible term every step.  The
+    result has no term divisible by any generator's leading monomial.
+    Against a Groebner basis this is the K-linear normal-form projection
+    onto standard monomials.
     """
     gens = [g for g in (gens.gens if isinstance(gens, GroebnerBasis) else gens) if not g.is_zero()]
     if any(g.nvars != f.nvars for g in gens):
         raise ArityError("generator arity differs from operand")
     lead = [(g, *g.leading(order.key)) for g in gens]
     r = f
-    while True:
-        hit = None
-        for dm in sorted(r.terms, key=order.key, reverse=True):
-            for g, lm, lc in lead:
-                if _divides(lm, dm):
-                    hit = (dm, g, lm, lc)
-                    break
-            if hit:
+    kept = set()  # terms of r that no leading monomial divides; they never change
+    while len(kept) < len(r.terms):
+        dm = max(r.terms.keys() - kept, key=order.key)
+        for g, lm, lc in lead:
+            if _divides(lm, dm):
+                r = r + g.shift(tuple(a - b for a, b in zip(dm, lm))).scale(-r.terms[dm] / lc)
                 break
-        if hit is None:
-            return r
-        dm, g, lm, lc = hit
-        delta = tuple(a - b for a, b in zip(dm, lm))
-        c = r.terms[dm] / lc
-        r = r - (OreOperator.monomial(f.nvars, delta) * g).scale(c)
+        else:
+            kept.add(dm)
+    return r
 
 
 def _spoly(g1: OreOperator, g2: OreOperator, order: TermOrder) -> OreOperator:
@@ -132,7 +123,7 @@ def _spoly(g1: OreOperator, g2: OreOperator, order: TermOrder) -> OreOperator:
     m = tuple(max(a, b) for a, b in zip(lm1, lm2))
     d1 = tuple(a - b for a, b in zip(m, lm1))
     d2 = tuple(a - b for a, b in zip(m, lm2))
-    return OreOperator.monomial(g1.nvars, d1) * g1 - OreOperator.monomial(g2.nvars, d2) * g2
+    return g1.shift(d1) - g2.shift(d2)
 
 
 class GroebnerBasis:
@@ -238,16 +229,15 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
     if not work:
         raise ValueError("ideal needs at least one nonzero generator")
 
-    def lcm_key(i, j):
-        lmi = work[i].leading(order.key)[0]
-        lmj = work[j].leading(order.key)[0]
-        m = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        return (order.key(m), i, j)
+    lms = [g.leading(order.key)[0] for g in work]
 
-    pairs = {(i, j) for i in range(len(work)) for j in range(i + 1, len(work))}
+    def pair(i, j):
+        return (order.key(tuple(map(max, lms[i], lms[j]))), i, j)
+
+    pairs = [pair(i, j) for j in range(len(work)) for i in range(j)]
+    heapify(pairs)
     while pairs:
-        i, j = min(pairs, key=lambda p: lcm_key(*p))
-        pairs.discard((i, j))
+        _, i, j = heappop(pairs)
         h = left_reduce(_spoly(work[i], work[j], order), work, order)
         if h.is_zero():
             continue
@@ -257,10 +247,11 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
             )
         k = len(work)
         work.append(h.monic(order.key))
-        pairs.update((i2, k) for i2 in range(k))
+        lms.append(work[k].leading(order.key)[0])
+        for i2 in range(k):
+            heappush(pairs, pair(i2, k))
 
     # interreduction: minimal leading monomials, then tail reduction
-    lms = [g.leading(order.key)[0] for g in work]
     survivors = [
         g
         for i, g in enumerate(work)

@@ -167,6 +167,8 @@ class OreOperator:
             c = RatFunc.const(self.nvars, c)
         if c.is_zero():
             return OreOperator.zero(self.nvars)
+        if c.is_one():
+            return self
         # K is a field: products of nonzero coefficients are nonzero
         return OreOperator._make(self.nvars, {dm: c * v for dm, v in self.terms.items()})
 
@@ -191,17 +193,21 @@ class OreOperator:
                 acc(dm, dc)
         return OreOperator._make(self.nvars, out)
 
+    def shift(self, delta: tuple[int, ...]) -> "OreOperator":
+        """Left multiplication by the monomial D^delta."""
+        cur = self
+        for index, times in enumerate(delta):
+            for _ in range(times):
+                cur = cur._d_once(index)
+        return cur
+
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         total = OreOperator.zero(self.nvars)
         for dm, c in self.terms.items():
-            cur = other
-            for index, times in enumerate(dm):
-                for _ in range(times):
-                    cur = cur._d_once(index)
-            total = total + cur.scale(c)
+            total = total + other.shift(dm).scale(c)
         return total
 
     def __rmul__(self, other):

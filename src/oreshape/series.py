@@ -225,18 +225,6 @@ def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]
     return basis
 
 
-def _poly_series_product(polys, members, below: int) -> dict[tuple[int, ...], Fraction]:
-    """Coefficients of sum polys[i] * members[i] below total degree `below`."""
-    total: dict[tuple[int, ...], Fraction] = {}
-    for p, f in zip(polys, members):
-        for pe, pc in p.terms.items():
-            for fe, fc in f.coeffs.items():
-                expo = tuple(a + b for a, b in zip(pe, fe))
-                if sum(expo) < below:
-                    total[expo] = total.get(expo, Fraction(0)) + pc * fc
-    return total
-
-
 def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -> DRadicalVerdict:
     """Search for a K-linear dependence among the truncated solutions.
 
@@ -279,14 +267,17 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
 
     images = []
     for vec in kernel:
-        image = _poly_series_product(polys_of(vec), deep.members, order + 4)
-        if not any(image.values()):
-            return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
+        polys = polys_of(vec)
+        image = TruncSeries(nvars, order + 4)
+        for p, f in zip(polys, deep.members):
+            image = image + TruncSeries(nvars, order + 4, p.terms) * f
+        if image.is_zero():
+            return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys), degree_bound, order)
         images.append(image)
     # No basis vector survives the deeper expansion, but a combination of
     # them may: solve the deep equations on the kernel's span.
-    monos = sorted({m for image in images for m in image})
-    small = _kernel_basis([[image.get(m, Fraction(0)) for image in images] for m in monos], len(kernel))
+    monos = sorted({m for image in images for m in image.coeffs})
+    small = _kernel_basis([[image.coefficient(m) for image in images] for m in monos], len(kernel))
     if not small:
         return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
     vec = [sum((t * v[j] for t, v in zip(small[0], kernel)), Fraction(0)) for j in range(len(cols))]

@@ -195,6 +195,52 @@ def assert_canonical(value):
 
 
 # ---------------------------------------------------------------------------
+# the reduction strategy and term-order keys that gb used to implement
+# ---------------------------------------------------------------------------
+
+
+def reference_left_reduce(f, gens, order):
+    """Left normal form by the former strategy of gb.left_reduce: sort the
+    remainder's terms on every step, cancel the largest one divisible by
+    some leading monomial, using the first such generator, and rebuild
+    D^delta * g as a product with the monomial operator."""
+    from oreshape.ore import OreOperator
+
+    lead = [(g, *g.leading(order.key)) for g in gens if not g.is_zero()]
+    r = f
+    while True:
+        hit = None
+        for dm in sorted(r.terms, key=order.key, reverse=True):
+            for g, lm, lc in lead:
+                if all(i <= j for i, j in zip(lm, dm)):
+                    hit = (dm, g, lm, lc)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return r
+        dm, g, lm, lc = hit
+        delta = tuple(a - b for a, b in zip(dm, lm))
+        c = r.terms[dm] / lc
+        r = r - (OreOperator.monomial(f.nvars, delta) * g).scale(c)
+
+
+def _grevlex_part(dm, symbols):
+    return (sum(dm[s] for s in symbols), *(-dm[s] for s in reversed(symbols)))
+
+
+def reference_order_key(kind, nvars, dm):
+    """The former TermOrder.key with its default priority Dx > Dy1 > ... >
+    Dyn and, for "elim", its default block of all Dyi."""
+    symbols = list(range(nvars + 1))
+    if kind == "lex":
+        return tuple(dm[s] for s in symbols)
+    if kind == "degrevlex":
+        return _grevlex_part(dm, symbols)
+    return _grevlex_part(dm, symbols[1:]) + _grevlex_part(dm, symbols[:1])
+
+
+# ---------------------------------------------------------------------------
 # reference series built straight from factorial formulas
 # ---------------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from oreshape.errors import DegreeCapExceeded, NotZeroDimensional
 from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis, left_reduce, _spoly
 from oreshape.ore import OreOperator
 
-from _helpers import rand_operator, rand_ratfunc
+from _helpers import rand_operator, rand_ratfunc, reference_left_reduce, reference_order_key
 
 
 def sym(nvars):
@@ -51,7 +51,7 @@ def test_elim_order_blocks():
     # anything containing Dy dominates everything Dy-free
     assert o.key((0, 1)) > o.key((9, 0))
     assert o.key((1, 1)) > o.key((0, 1))
-    o2 = TermOrder.elim(2, block=(1, 2))
+    o2 = TermOrder.elim(2)
     assert o2.key((0, 1, 0)) > o2.key((5, 0, 0))
     assert o2.key((0, 0, 1)) > o2.key((5, 0, 0))
 
@@ -75,9 +75,45 @@ def test_order_key_is_total_and_multiplicative():
             assert o.key(a) > o.key((0, 0, 0)) or not any(a)
 
 
+def test_order_keys_match_the_former_formulas():
+    rng = random.Random(311)
+    for nvars in (1, 2, 3):
+        for kind in ("degrevlex", "lex", "elim"):
+            o = TermOrder(kind, nvars)
+            for _ in range(40):
+                dm = tuple(rng.randint(0, 5) for _ in range(nvars + 1))
+                assert o.key(dm) == reference_order_key(kind, nvars, dm), (kind, dm)
+
+
 # ---------------------------------------------------------------------------
 # left reduction
 # ---------------------------------------------------------------------------
+
+
+def test_left_reduce_matches_the_former_strategy():
+    # Against generators that are not a Groebner basis the normal form
+    # depends on which generator cancels which term.  Top-reduction must make
+    # the same choices as the former loop (largest divisible term, first
+    # dividing generator).  Generators of order one share leading monomials
+    # often; the reversed list stands for "last dividing generator" and must
+    # give a different answer often enough to matter.
+    rng = random.Random(312)
+    cases = differs = 0
+    for nvars in (1, 2):
+        for kind in ("degrevlex", "lex", "elim"):
+            o = TermOrder(kind, nvars)
+            for _ in range(12):
+                gens = []
+                while len(gens) < 3:
+                    g = rand_operator(rng, nvars, max_terms=3, max_ord=1)
+                    if g.max_order() == 1:
+                        gens.append(g)
+                f = rand_operator(rng, nvars, max_terms=4, max_ord=3)
+                expected = reference_left_reduce(f, gens, o)
+                assert left_reduce(f, gens, o) == expected, (kind, f, gens)
+                cases += 1
+                differs += reference_left_reduce(f, gens[::-1], o) != expected
+    assert differs >= cases // 4, (differs, cases)
 
 
 def test_reduce_dx_squared_by_dx_minus_one():
