@@ -642,6 +642,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
+
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 

@@ -90,25 +90,40 @@ def _exit_code(exc: Exception) -> int:
 
 
 class _Input:
-    """Parsed ideal file plus bookkeeping shared by all commands."""
+    """Parsed ideal file plus bookkeeping shared by all commands.
 
-    def __init__(self, raw: str):
+    swap is the index k of --main-var Dyk (0 for Dx): commands work on the
+    ideal with Dx and Dyk exchanged and swap their results back."""
+
+    def __init__(self, raw: str, main_var: str | None = None):
         self.raw = raw
         self.digest = hashlib.sha256(raw.encode()).hexdigest()
         self.nvars, self.operators = parse_ideal_file(raw)
+        self.swap = _main_var_index(main_var, self.nvars)
 
     def ideal(self, order: TermOrder | None = None, skip: int = 0) -> GroebnerBasis:
-        gens = self.operators[skip:]
+        gens = [self.swapped(g) for g in self.operators[skip:]]
         if not gens:
             raise ValueError("the input file contains no generators")
         return groebner_basis(gens, order or TermOrder.degrevlex(self.nvars))
 
+    def swapped(self, x):
+        """An operator or series with Dx and the main variable exchanged.
+        The exchange is an involution: it maps into the swapped ideal's
+        variables and back."""
+        if not self.swap:
+            return x
+        if isinstance(x, TruncSeries):
+            return x.swap_vars(self.swap)
+        return x.swap_roles(self.swap)
+
 
 def _read_input(args) -> _Input:
+    main_var = getattr(args, "main_var", None)
     if args.file == "-":
-        return _Input(sys.stdin.read())
+        return _Input(sys.stdin.read(), main_var)
     with open(args.file, "r", encoding="utf-8") as fh:
-        return _Input(fh.read())
+        return _Input(fh.read(), main_var)
 
 
 def _main_var_index(spec: str | None, nvars: int) -> int:
@@ -123,13 +138,6 @@ def _main_var_index(spec: str | None, nvars: int) -> int:
         if 1 <= k <= nvars:
             return k
     raise ArityError(f"--main-var must be Dx or Dy1..Dy{nvars}, got {spec!r}")
-
-
-def _swap_ideal(inp: _Input, k: int, skip: int = 0) -> GroebnerBasis:
-    gens = [g.swap_roles(k) for g in inp.operators[skip:]]
-    if not gens:
-        raise ValueError("the input file contains no generators")
-    return groebner_basis(gens, TermOrder.degrevlex(inp.nvars))
 
 
 def _parse_shear_vector(text: str, nvars: int) -> tuple[Fraction, ...]:
@@ -189,13 +197,7 @@ def cmd_apply(args, inp: _Input):
 
 
 def cmd_gb(args, inp: _Input):
-    if args.order == "lex":
-        order = TermOrder.lex(inp.nvars)
-    elif args.order == "elim":
-        order = TermOrder.elim(inp.nvars)
-    else:
-        order = TermOrder.degrevlex(inp.nvars)
-    gb = inp.ideal(order)
+    gb = inp.ideal(TermOrder(args.order, inp.nvars))
     result = {"order": args.order, "basis": [format_operator(g) for g in gb.gens]}
     return result, _ideal_file_lines(inp.nvars, gb.gens)
 
@@ -209,37 +211,30 @@ def cmd_dim(args, inp: _Input):
 
 
 def cmd_eliminate(args, inp: _Input):
-    k = _main_var_index(args.main_var, inp.nvars)
-    gb = _swap_ideal(inp, k) if k else inp.ideal()
-    p = eliminate_dx(gb, method=args.method)
-    if k:
-        p = p.swap_roles(k)
+    p = inp.swapped(eliminate_dx(inp.ideal(), method=args.method))
     return {"eliminant": format_operator(p), "method": args.method}, [format_operator(p)]
 
 
-def cmd_shape(args, inp: _Input):
-    k = _main_var_index(args.main_var, inp.nvars)
-    gb = _swap_ideal(inp, k) if k else inp.ideal()
-    sb = shape_basis(gb)
-    gens = sb.generators()
-    p = sb.P()
-    qs = [sb.Q(i) for i in range(1, inp.nvars + 1)]
-    if k:
-        gens = [g.swap_roles(k) for g in gens]
-        p = p.swap_roles(k)
-        qs = [q.swap_roles(k) for q in qs]
+def _shape_result(inp: _Input, sb) -> tuple[dict, list]:
+    """The dimension/P/Q/generators payload of a shape basis, in the input's
+    variables, and its generators."""
+    gens = [inp.swapped(g) for g in sb.generators()]
     result = {
         "dimension": sb.r,
-        "P": format_operator(p),
-        "Q": [format_operator(q) for q in qs],
+        "P": format_operator(inp.swapped(sb.P())),
+        "Q": [format_operator(inp.swapped(sb.Q(i))) for i in range(1, inp.nvars + 1)],
         "generators": [format_operator(g) for g in gens],
     }
+    return result, gens
+
+
+def cmd_shape(args, inp: _Input):
+    result, gens = _shape_result(inp, shape_basis(inp.ideal()))
     return result, _ideal_file_lines(inp.nvars, gens)
 
 
 def cmd_check_normal(args, inp: _Input):
-    k = _main_var_index(args.main_var, inp.nvars)
-    gb = _swap_ideal(inp, k) if k else inp.ideal()
+    gb = inp.ideal()
     algebraic = in_normal_position(gb)
     result = {"via": args.via}
     if args.via == "series":
@@ -309,48 +304,25 @@ def cmd_solve(args, inp: _Input):
 
 
 def cmd_wronskian(args, inp: _Input):
-    k = _main_var_index(args.main_var, inp.nvars)
-    gb = _swap_ideal(inp, k) if k else inp.ideal()
-    sol = solve_series(gb, order=args.trunc)
+    sol = solve_series(inp.ideal(), order=args.trunc)
     if sol.r == 0:
         raise NotZeroDimensional("the unit ideal has no solutions to take a Wronskian of")
-    w = wronskian_x(sol.members)
-    if k:
-        w = w.swap_vars(k)
+    w = inp.swapped(wronskian_x(sol.members))
     return {"dimension": sol.r, "wronskian": _series_json(w)}, [format_series(w)]
 
 
 def cmd_gauge(args, inp: _Input):
-    k = _main_var_index(args.main_var, inp.nvars)
-    gb = _swap_ideal(inp, k) if k else inp.ideal()
+    gb = inp.ideal()
     if args.cyclic_vector is not None:
-        m = parse_operator(args.cyclic_vector, inp.nvars)
-        if k:
-            m = m.swap_roles(k)
+        m = inp.swapped(parse_operator(args.cyclic_vector, inp.nvars))
     else:
         m = cyclic_vector(
             gb, seed=args.seed, degree_bound=args.degree_bound, max_attempts=args.max_attempts
         )
-    sb = gauge_transform(gb, m)
-    p = sb.P()
-    qs = [sb.Q(i) for i in range(1, inp.nvars + 1)]
-    gens = sb.generators()
-    m_out = m
-    if k:
-        p = p.swap_roles(k)
-        qs = [q.swap_roles(k) for q in qs]
-        gens = [g.swap_roles(k) for g in gens]
-        m_out = m.swap_roles(k)
-    result = {
-        "cyclic_vector": format_operator(m_out),
-        "dimension": sb.r,
-        "P": format_operator(p),
-        "Q": [format_operator(q) for q in qs],
-        "generators": [format_operator(g) for g in gens],
-    }
-    lines = [f"cyclic vector: {format_operator(m_out)}"]
-    lines += _ideal_file_lines(inp.nvars, gens)
-    return result, lines
+    shape, gens = _shape_result(inp, gauge_transform(gb, m))
+    m_out = format_operator(inp.swapped(m))
+    result = {"cyclic_vector": m_out, **shape}
+    return result, [f"cyclic vector: {m_out}", *_ideal_file_lines(inp.nvars, gens)]
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,10 @@ class OreOperator:
             up = list(dm)
             up[index] += 1
             acc(tuple(up), c)
-            dc = c.derivative(index)
-            if not dc.is_zero():
-                acc(dm, dc)
+            if not c.is_constant():
+                dc = c.derivative(index)
+                if not dc.is_zero():
+                    acc(dm, dc)
         return OreOperator._make(self.nvars, out)
 
     def shift(self, delta: tuple[int, ...]) -> "OreOperator":

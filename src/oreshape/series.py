@@ -20,13 +20,18 @@ recorded order of the result.
 
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
-finite exact Q-linear system in the p-coefficients.  A nontrivial kernel
+finite exact Q-linear system in the p-coefficients.  Its kernel is read off
+the column dependences: the columns are walked into shape's _Echelon over
+Q, and a column j that depends on the independent columns k_0 < k_1 < ...
+before it, as sum c_i times column k_i, gives the kernel vector
+e_j - sum c_i e_(k_i).  These are the vectors of the free columns of the
+reduced echelon form, one per dependent column.  A nontrivial kernel
 vector is re-verified against a deeper expansion (order + 4, continuing the
 walk of the first expansion rather than starting over) before being
 reported: first each kernel basis vector, then, if none survives, the
-kernel's span, by solving the deeper equations restricted to it.  No
-verified vector means no dependence up to the stated bounds, a
-semi-decision, not a proof of D-radicality.
+first dependence among their deeper images, which names a combination
+whose image vanishes.  No verified vector means no dependence up to the
+stated bounds, a semi-decision, not a proof of D-radicality.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .arith import MultiPoly, grevlex_key
 from .errors import NonOrdinaryOrigin, PoleAtPoint, TruncationTooSmall
 from .gb import GroebnerBasis
 from .ore import TruncSeries
-from .shape import quotient_action
+from .shape import _Echelon, quotient_action
 
 DEPENDENCE_FOUND = "DependenceFound"
 NO_DEPENDENCE = "NoDependenceUpToBound"
@@ -192,35 +197,25 @@ class DRadicalVerdict:
         return self.tag == DEPENDENCE_FOUND
 
 
+def _q_echelon() -> _Echelon:
+    """An empty echelon over Q, where every nonzero pivot is as good as any."""
+    return _Echelon(Fraction(0), Fraction(1), lambda a: 0)
+
+
 def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q, one vector per free column."""
-    ech: list[tuple[int, list[Fraction]]] = []  # (pivot column, normalized row)
-    for row in rows:
-        row = row[:]
-        for pc, erow in ech:
-            if row[pc]:
-                f = row[pc]
-                row = [a - f * b for a, b in zip(row, erow)]
-        pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is None:
-            continue
-        inv = 1 / row[pivot]
-        row = [a * inv for a in row]
-        # keep earlier rows reduced against the new pivot
-        ech = [
-            (pc, [a - erow[pivot] * b for a, b in zip(erow, row)] if erow[pivot] else erow)
-            for pc, erow in ech
-        ]
-        ech.append((pivot, row))
-    pivot_cols = {pc for pc, _ in ech}
+    """Basis of the right kernel over Q, one vector per dependent column."""
+    ech = _q_echelon()
+    independent = []
     basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
+    for j in range(ncols):
+        c = ech.add([row[j] for row in rows])
+        if c is None:
+            independent.append(j)
             continue
         v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for pc, erow in ech:
-            v[pc] = -erow[free]
+        v[j] = Fraction(1)
+        for k, ck in zip(independent, c):
+            v[k] = -ck
         basis.append(v)
     return basis
 
@@ -275,13 +270,16 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
             return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys), degree_bound, order)
         images.append(image)
     # No basis vector survives the deeper expansion, but a combination of
-    # them may: solve the deep equations on the kernel's span.
+    # them may: the first image that depends on the ones before it names one.
     monos = sorted({m for image in images for m in image.coeffs})
-    small = _kernel_basis([[image.coefficient(m) for image in images] for m in monos], len(kernel))
-    if not small:
-        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
-    vec = [sum((t * v[j] for t, v in zip(small[0], kernel)), Fraction(0)) for j in range(len(cols))]
-    return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
+    ech = _q_echelon()
+    for image in images:
+        c = ech.add([image.coefficient(m) for m in monos])
+        if c is not None:
+            t = [-a for a in c] + [Fraction(1)]
+            vec = [sum((tk * v[j] for tk, v in zip(t, kernel)), Fraction(0)) for j in range(len(cols))]
+            return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
+    return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
 
 
 def _normalize_witness(polys: list[MultiPoly]) -> tuple[MultiPoly, ...]:

@@ -19,13 +19,15 @@ when that first dependence happens at step r = dim of the quotient; then
 expressing the class of each Dyi in the Krylov basis yields Qi with
 Dyi - Qi(Dx) in I, and {Dy1 - Q1, ..., Dyn - Qn, P} generates I.
 
-One routine does all of this linear algebra: _krylov_walk walks the family
-into an echelon form over K that grows one vector at a time and remembers
-each row's combination of the family (_Echelon).  The k-th step reduces one
-new vector against k rows, so a walk to step r costs O(r^3) operations in
-K instead of the O(r^4) of solving afresh at every step.  The Dyi images reduce
-against the same echelon.  Pivots are the lowest-degree nonzero entry of
-the reduced vector (ties by position), which keeps intermediate coefficient
+One routine does all of this linear algebra, and the series layer's too:
+_Echelon is an echelon form over a field given by the caller, K here and Q
+in series, that grows one vector at a time and remembers each row's
+combination of the family.  _krylov_walk walks the Krylov family into it
+up to the first dependence.  The k-th step reduces one new vector against
+k rows, so a walk to step r costs O(r^3) operations in K instead of the
+O(r^4) of solving afresh at every step.  The Dyi images reduce against the
+same echelon.  Over K, pivots are the lowest-degree nonzero entry of the
+reduced vector (ties by position), which keeps intermediate coefficient
 growth down and the whole computation deterministic; the results do not
 depend on the pivots, since coefficients in an independent family are
 unique.
@@ -120,8 +122,13 @@ def quotient_action(gb: GroebnerBasis) -> QuotientAction:
 
 
 class _Echelon:
-    """Row echelon form over K of a family v_0, v_1, ... grown one vector at
-    a time.
+    """Row echelon form of a family v_0, v_1, ... of vectors over a field,
+    grown one vector at a time.
+
+    The caller gives the field's zero and one and a pivot measure: a new
+    row's pivot is its nonzero entry of least measure, ties by position.
+    Entries are tested by truthiness, which is false exactly for 0 in K
+    (RatFunc) and in Q (Fraction).
 
     Row j is v_j minus its combination of the earlier rows, scaled to 1 at
     its pivot, and it remembers that combination as coefficients on
@@ -129,37 +136,38 @@ class _Echelon:
     reducing a vector against the rows in order clears every pivot.
     """
 
-    __slots__ = ("zero", "one", "rows")
+    __slots__ = ("zero", "one", "measure", "rows")
 
-    def __init__(self, nvars: int):
-        self.zero = RatFunc.zero(nvars)
-        self.one = RatFunc.one(nvars)
+    def __init__(self, zero, one, measure):
+        self.zero = zero
+        self.one = one
+        self.measure = measure
         self.rows = []  # (pivot, row, combination)
 
-    def reduce(self, v: list[RatFunc]):
+    def reduce(self, v: list):
         """(c, rest) with v = sum c[j] * v_j + rest and rest zero at every pivot."""
         c = [self.zero] * len(self.rows)
         for p, row, comb in self.rows:
             f = v[p]
-            if f.is_zero():
+            if not f:
                 continue
-            v = [a if b.is_zero() else a - f * b for a, b in zip(v, row)]
+            v = [a - f * b if b else a for a, b in zip(v, row)]
             for j, b in enumerate(comb):
-                if not b.is_zero():
+                if b:
                     c[j] = c[j] + f * b
         return c, v
 
-    def add(self, v: list[RatFunc]):
+    def add(self, v: list):
         """Append v and return None; or, when v lies in the span of the
         family, return its coefficients and leave the family as it was."""
         c, rest = self.reduce(v)
-        cand = [(a.degree(), i) for i, a in enumerate(rest) if not a.is_zero()]
+        cand = [(self.measure(a), i) for i, a in enumerate(rest) if a]
         if not cand:
             return c
         _, p = min(cand)
         inv = self.one / rest[p]
-        row = [a if a.is_zero() else a * inv for a in rest]
-        comb = [a if a.is_zero() else -a * inv for a in c] + [inv]
+        row = [a * inv if a else a for a in rest]
+        comb = [-a * inv if a else a for a in c] + [inv]
         self.rows.append((p, row, comb))
         return None
 
@@ -171,7 +179,7 @@ def _krylov_walk(act: QuotientAction, v0: list[RatFunc]):
     the first step whose vector lies in the span of the earlier ones, and
     ech the echelon of v0..Dx^(s-1).v0.  s = 0 when v0 is zero, and s <= r.
     """
-    ech = _Echelon(act.nvars)
+    ech = _Echelon(RatFunc.zero(act.nvars), RatFunc.one(act.nvars), RatFunc.degree)
     v = v0
     while True:
         lam = ech.add(v)

@@ -195,7 +195,8 @@ def assert_canonical(value):
 
 
 # ---------------------------------------------------------------------------
-# the reduction strategy and term-order keys that gb used to implement
+# the reduction strategy, term-order keys and kernel solver that gb and
+# series used to implement
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +239,41 @@ def reference_order_key(kind, nvars, dm):
     if kind == "degrevlex":
         return _grevlex_part(dm, symbols)
     return _grevlex_part(dm, symbols[1:]) + _grevlex_part(dm, symbols[:1])
+
+
+def reference_kernel_basis(rows, ncols):
+    """Right kernel over Q by the former series._kernel_basis: row-by-row
+    Gauss-Jordan to the reduced echelon form, then one vector per free
+    column (1 there, minus that column's entries at the pivot columns)."""
+    ech = []  # (pivot column, normalized row)
+    for row in rows:
+        row = row[:]
+        for pc, erow in ech:
+            if row[pc]:
+                f = row[pc]
+                row = [a - f * b for a, b in zip(row, erow)]
+        pivot = next((j for j, a in enumerate(row) if a), None)
+        if pivot is None:
+            continue
+        inv = 1 / row[pivot]
+        row = [a * inv for a in row]
+        # keep earlier rows reduced against the new pivot
+        ech = [
+            (pc, [a - erow[pivot] * b for a, b in zip(erow, row)] if erow[pivot] else erow)
+            for pc, erow in ech
+        ]
+        ech.append((pivot, row))
+    pivot_cols = {pc for pc, _ in ech}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for pc, erow in ech:
+            v[pc] = -erow[free]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

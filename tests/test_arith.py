@@ -99,6 +99,9 @@ def test_zero_ratfunc_is_zero_over_one():
     x, y, one = P(1)
     z = RatFunc(x - x, x * x + y)
     assert z.num.is_zero() and z.den.is_one()
+    # truthiness is false exactly for 0, as for Fraction
+    assert not z and not RatFunc.zero(1)
+    assert RatFunc(x, x * x + y) and RatFunc.one(1) and RatFunc.const(1, Fraction(-1, 2))
 
 
 def test_zero_denominator_rejected():

@@ -8,9 +8,16 @@ transcripts byte for byte, so any change to a printed result, a canonical
 form, a chosen basis or a search outcome shows up here.
 
 The transcripts were recorded before the reduction strategy of `gb` was
-rewritten.  Re-record them only for an intended change of output:
+rewritten; the `--main-var` entries other than `eliminate` were added, and
+recorded, before `--main-var` handling in `cli` was folded into one place.
+Re-record them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+`--check` compares without pytest and without `assert`, so it also runs
+under `python -O`; it exits non-zero on any mismatch:
+
+    PYTHONPATH=src python -O tests/test_golden.py --check
 """
 
 import contextlib
@@ -41,6 +48,11 @@ COMMANDS = (
     ("wronskian", "--trunc", "6"),
     ("check-dradical", "--trunc", "5", "--degree-bound", "1"),
     ("gauge",),
+    ("shape", "--main-var", "{last_dy}"),
+    ("wronskian", "--trunc", "6", "--main-var", "{last_dy}"),
+    ("gauge", "--main-var", "{last_dy}"),
+    ("check-normal", "--main-var", "{last_dy}"),
+    ("check-normal", "--via", "series", "--trunc", "6", "--main-var", "{last_dy}"),
 )
 
 
@@ -85,8 +97,19 @@ def test_corpus_is_complete():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
+    mode = sys.argv[1:]
+    if mode not in (["--record"], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py --record | --check")
+    mismatched = []
     for name in _names():
-        (GOLDEN / f"{name}.out").write_text(transcript(name))
-        print(f"recorded {name}.out")
+        path = GOLDEN / f"{name}.out"
+        if mode == ["--record"]:
+            path.write_text(transcript(name))
+            print(f"recorded {name}.out")
+        elif transcript(name) != path.read_text():
+            mismatched.append(name)
+            print(f"MISMATCH {name}.out")
+        else:
+            print(f"ok {name}.out")
+    if len(_names()) != 6 or mismatched:
+        sys.exit(f"golden corpus check failed: {len(_names())} ideals, mismatched {mismatched}")

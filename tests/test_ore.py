@@ -60,6 +60,28 @@ def test_known_product():
     assert L == dx * dx - 3 * dx + 2 * one
 
 
+def test_constant_coefficients_are_not_differentiated(monkeypatch):
+    # Commuting a derivative past a constant coefficient adds nothing, so a
+    # product of constant-coefficient operators differentiates no coefficient.
+    calls = []
+    derivative = RatFunc.derivative
+
+    def counting(self, index):
+        calls.append(index)
+        return derivative(self, index)
+
+    monkeypatch.setattr(RatFunc, "derivative", counting)
+    (dx, dy1, dy2), (x, _, _), one = sym(2)
+    product = (dx - dy1 + 2 * one) * (dx + dy1 - one) * (3 * dy2 - one)
+    assert str(product) == (
+        "3*Dx^2*Dy2 - 3*Dy1^2*Dy2 - Dx^2 + Dy1^2 + 3*Dx*Dy2 + 9*Dy1*Dy2 - Dx - 3*Dy1 - 6*Dy2 + 2"
+    )
+    assert calls == []
+    # a variable coefficient is still differentiated
+    assert dx * x == x * dx + one
+    assert calls == [0]
+
+
 def test_associativity_random():
     rng = random.Random(201)
     for _ in range(25):

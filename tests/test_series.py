@@ -12,13 +12,16 @@ dictionaries.
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from oreshape import series
 from oreshape.arith import MultiPoly, RatFunc
 from oreshape.errors import NonOrdinaryOrigin, TruncationTooSmall
 from oreshape.gb import TermOrder, groebner_basis
 from oreshape.ore import OreOperator, TruncSeries
+from oreshape.parsing import parse_ideal_file
 from oreshape.series import (
     DEPENDENCE_FOUND,
     NO_DEPENDENCE,
@@ -33,7 +36,9 @@ from oreshape.series import (
 )
 from oreshape.shape import QuotientAction, in_normal_position, quotient_action, shear_ideal
 
-from _helpers import exp_series, monomials_below, poly_times_exp_series
+from _helpers import exp_series, monomials_below, poly_times_exp_series, reference_kernel_basis
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def sym(nvars=1):
@@ -93,6 +98,76 @@ def test_kernel_basis_known_systems():
     # redundant rows behave like one row
     [v] = _kernel_basis([[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]], 2)
     assert v[0] == -2 * v[1] and any(v)
+
+
+def _kernel_cases(rng):
+    """Seeded random Q matrices (rows, ncols) of every shape the solver meets."""
+    def entry(density):
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+
+    def matrix(nrows, ncols, density=0.7):
+        return [[entry(density) for _ in range(ncols)] for _ in range(nrows)]
+
+    cases = []
+    for _ in range(6):
+        n = rng.randint(1, 6)
+        cases.append((matrix(n, n, 1.0), n))  # square, full rank but by chance
+        cases.append((matrix(n + rng.randint(1, 6), n), n))  # tall
+        wide = n + rng.randint(1, 6)
+        cases.append((matrix(n, wide), wide))  # wide
+        rows = matrix(n, 7)
+        for _ in range(2):
+            rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * 7)
+        cases.append((rows, 7))  # zero rows
+        rows = matrix(n + 2, 7, 0.5)
+        for j in rng.sample(range(7), 2):
+            for row in rows:
+                row[j] = Fraction(0)
+        cases.append((rows, 7))  # zero columns
+        rows = matrix(n + 3, 6)
+        src, dst = rng.sample(range(6), 2)
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        for row in rows:
+            row[dst] = row[src] * scale
+        cases.append((rows, 6))  # repeated columns
+        left, right = matrix(7, 2, 1.0), matrix(2, 6, 1.0)
+        rows = [[sum((a * b[j] for a, b in zip(lrow, right)), Fraction(0)) for j in range(6)] for lrow in left]
+        cases.append((rows, 6))  # rank at most 2
+    cases += [([], 3), ([[Fraction(0)] * 4], 4)]
+    return cases
+
+
+def test_kernel_basis_matches_reference_on_random_matrices():
+    cases = _kernel_cases(random.Random(612))
+    empty = 0
+    for rows, ncols in cases:
+        got = _kernel_basis(rows, ncols)
+        assert got == reference_kernel_basis(rows, ncols)
+        empty += not got
+        for v in got:
+            assert all(sum((a * b for a, b in zip(row, v)), Fraction(0)) == 0 for row in rows)
+    assert 0 < empty < len(cases)
+
+
+def test_kernel_basis_matches_reference_on_dradical_systems(monkeypatch):
+    systems = []
+    kernel_basis = series._kernel_basis
+
+    def recording(rows, ncols):
+        systems.append((rows, ncols))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(series, "_kernel_basis", recording)
+    ideals = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
+    for path in sorted(GOLDEN.glob("*.ideal")):
+        nvars, ops = parse_ideal_file(path.read_text())
+        ideals.append(groebner_basis(ops, TermOrder.degrevlex(nvars)))
+    for gb in ideals:
+        for degree_bound, order in ((1, 5), (2, 6)):
+            d_radical_check(gb, degree_bound=degree_bound, order=order)
+    assert len(systems) == 2 * len(ideals)
+    for rows, ncols in systems:
+        assert kernel_basis(rows, ncols) == reference_kernel_basis(rows, ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_action_is_pseudo_linear():
 
 def express(vectors, target, nvars):
     """Coefficients of target in the span of the vectors, or None."""
-    ech = _Echelon(nvars)
+    ech = _Echelon(RatFunc.zero(nvars), RatFunc.one(nvars), RatFunc.degree)
     for v in vectors:
         ech.add(v)
     c, rest = ech.reduce(target)
@@ -132,7 +132,7 @@ def test_echelon_small_systems():
     assert express([[one, zero], [zero, one]], [x, one], 1) == [x, one]
     # dependent family: the second vector is reported and not added, and a
     # consistent target is expressed in the independent part
-    ech = _Echelon(1)
+    ech = _Echelon(zero, one, RatFunc.degree)
     assert ech.add([one, zero]) is None
     assert ech.add([x, zero]) == [x]
     c, rest = ech.reduce([one + x, zero])
