@@ -755,6 +755,8 @@ class RatFunc:
         n, d = self.num, self.den
         if d.is_one():
             return RatFunc._make(n.derivative(index), d)
+        if not any(e[index] for e in n.terms) and not any(e[index] for e in d.terms):
+            return RatFunc.zero(self.nvars)
         return RatFunc(n.derivative(index) * d - n * d.derivative(index), d * d)
 
     def evaluate(self, point) -> Fraction:

@@ -14,11 +14,25 @@ the one it cancels, so this makes exactly the reductions of repeatedly
 cancelling the largest reducible term.
 
 One consequence of the noncommutative coefficients is that the classical
-coprime-leading-monomial criterion is unsound here, so no pair-skipping
-criteria are used at all: every S-pair is generated and reduced.  Pairs are
-processed smallest lcm first.  A configurable cap on the derivative order of
-new basis elements turns runaway completions (pathological input, or a bug)
-into a clean DegreeCapExceeded instead of an endless loop.
+coprime-leading-monomial criterion is unsound here, so it is not used.
+
+Pairs are processed smallest lcm first.  Buchberger's chain criterion skips
+a popped pair (i, j) when some other generator k has lm_k | m = lcm(lm_i,
+lm_j) and neither {i, k} nor {j, k} is still pending (pushed and not yet
+popped; a skipped pair counts as done).  It holds in K[D] because the D's
+commute with each other and lm(c * D^a * f) = a + lm(f): for monic
+generators, with m_ik = lcm(lm_i, lm_k) and m_jk alike, both dividing m,
+
+    S(i,j) = D^(m - m_ik) * S(i,k) - D^(m - m_jk) * S(j,k).
+
+A reduced pair's S-polynomial is a combination of basis elements with all
+terms below its lcm, and a shift by D^(m - m_ik) keeps them below m.
+Unfolding the skipped pairs in the order they were popped (each rests on two
+pairs popped before it) gives every S(i,j) such a representation below its
+m, which is all Buchberger's criterion needs (Kandri-Rody and Weispfenning,
+JSC 1990; Gebauer and Moeller, JSC 1988).  The reduced basis is unique, so
+skipping changes no result.  A cap on the derivative order of new basis
+elements turns runaway completions into a clean DegreeCapExceeded.
 """
 
 from __future__ import annotations
@@ -231,13 +245,27 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
 
     lms = [g.leading(order.key)[0] for g in work]
 
+    def lcm(i, j):
+        return tuple(map(max, lms[i], lms[j]))
+
     def pair(i, j):
-        return (order.key(tuple(map(max, lms[i], lms[j]))), i, j)
+        return (order.key(lcm(i, j)), i, j)
+
+    def done(i, k):
+        return ((i, k) if i < k else (k, i)) not in pending
 
     pairs = [pair(i, j) for j in range(len(work)) for i in range(j)]
+    pending = {(i, j) for _, i, j in pairs}
     heapify(pairs)
     while pairs:
         _, i, j = heappop(pairs)
+        pending.remove((i, j))
+        m = lcm(i, j)
+        if any(
+            k != i and k != j and _divides(lms[k], m) and done(i, k) and done(j, k)
+            for k in range(len(work))
+        ):
+            continue  # the chain criterion
         h = left_reduce(_spoly(work[i], work[j], order), work, order)
         if h.is_zero():
             continue
@@ -250,6 +278,7 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
         lms.append(work[k].leading(order.key)[0])
         for i2 in range(k):
             heappush(pairs, pair(i2, k))
+            pending.add((i2, k))
 
     # interreduction: minimal leading monomials, then tail reduction
     survivors = [

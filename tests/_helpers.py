@@ -195,8 +195,8 @@ def assert_canonical(value):
 
 
 # ---------------------------------------------------------------------------
-# the reduction strategy, term-order keys and kernel solver that gb and
-# series used to implement
+# the completion, reduction strategy, term-order keys and kernel solver
+# that gb and series used to implement
 # ---------------------------------------------------------------------------
 
 
@@ -224,6 +224,53 @@ def reference_left_reduce(f, gens, order):
         delta = tuple(a - b for a, b in zip(dm, lm))
         c = r.terms[dm] / lc
         r = r - (OreOperator.monomial(f.nvars, delta) * g).scale(c)
+
+
+def reference_groebner_basis(gens, order):
+    """Reduced left Groebner basis by the former gb.groebner_basis: plain
+    Buchberger, which forms and reduces every S-pair, smallest lcm first,
+    then full interreduction.  Inputs must be valid (no cap, no checks)."""
+    from heapq import heapify, heappop, heappush
+
+    from oreshape.gb import GroebnerBasis, _divides, _spoly, left_reduce
+
+    work = []
+    for gm in (g.monic(order.key) for g in gens if not g.is_zero()):
+        if gm not in work:
+            work.append(gm)
+    lms = [g.leading(order.key)[0] for g in work]
+
+    def pair(i, j):
+        return (order.key(tuple(map(max, lms[i], lms[j]))), i, j)
+
+    pairs = [pair(i, j) for j in range(len(work)) for i in range(j)]
+    heapify(pairs)
+    while pairs:
+        _, i, j = heappop(pairs)
+        h = left_reduce(_spoly(work[i], work[j], order), work, order)
+        if h.is_zero():
+            continue
+        k = len(work)
+        work.append(h.monic(order.key))
+        lms.append(work[k].leading(order.key)[0])
+        for i2 in range(k):
+            heappush(pairs, pair(i2, k))
+
+    survivors = [
+        g
+        for i, g in enumerate(work)
+        if not any(
+            j != i and _divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
+            for j in range(len(work))
+        )
+    ]
+    reduced = []
+    for i, g in enumerate(survivors):
+        others = survivors[:i] + survivors[i + 1 :]
+        h = left_reduce(g, others, order) if others else g
+        reduced.append(h.monic(order.key))
+    reduced.sort(key=lambda g: order.key(g.leading(order.key)[0]))
+    return GroebnerBasis(work[0].nvars, order, reduced)
 
 
 def _grevlex_part(dm, symbols):

@@ -332,6 +332,28 @@ def test_derivative_known_values():
     assert RatFunc.const(1, 7).derivative(0).is_zero()
 
 
+def test_derivative_by_an_absent_variable_differentiates_nothing(monkeypatch):
+    # a y-free coefficient with a non-unit denominator is constant in y: its
+    # y-derivative is zero without the quotient rule's two polynomial
+    # derivatives, and the canonical zero
+    x, y, one = P(1)
+    calls = 0
+    real = MultiPoly.derivative
+
+    def counted(self, index):
+        nonlocal calls
+        calls += 1
+        return real(self, index)
+
+    monkeypatch.setattr(MultiPoly, "derivative", counted)
+    dy = RatFunc(x * x + one, x + 2 * one).derivative(1)
+    assert calls == 0
+    assert dy.is_zero() and dy.den.is_one()
+    assert_canonical(dy)
+    assert RatFunc(y, x + one).derivative(1) == RatFunc(one, x + one)
+    assert calls == 2
+
+
 def test_derivative_random_against_quotient_oracle():
     rng = random.Random(106)
     for _ in range(10):

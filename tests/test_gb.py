@@ -5,25 +5,55 @@ f = q*g + r with an operator quotient q, so r is re-checked by reconstructing
 q*g + r through the (independently tested) product.  GB postconditions
 (S-pairs to zero, membership of inputs, normal-form linearity) are the
 standard confluence characterizations and double as the correctness oracle
-for the completion.
+for the completion.  Pair skipping is checked against plain Buchberger
+(reference_groebner_basis), whose reduced basis must be the same.
 """
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oreshape import gb
 from oreshape.arith import RatFunc
 from oreshape.errors import DegreeCapExceeded, NotZeroDimensional
 from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis, left_reduce, _spoly
 from oreshape.ore import OreOperator
+from oreshape.parsing import parse_ideal_file
 
-from _helpers import rand_operator, rand_ratfunc, reference_left_reduce, reference_order_key
+from _helpers import (
+    rand_operator,
+    rand_ratfunc,
+    reference_groebner_basis,
+    reference_left_reduce,
+    reference_order_key,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+KINDS = ("degrevlex", "lex", "elim")
 
 
 def sym(nvars):
     ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
     vs = [OreOperator.from_coeff(RatFunc.var(nvars, i)) for i in range(nvars + 1)]
     return ds, vs, OreOperator.one(nvars)
+
+
+def fixture_ideals():
+    """The nvars = 1 generator lists that the completion tests here use."""
+    (dx, dy), (x, y), one = sym(1)
+    return [
+        [(dx - one) * (dx - 2 * one), dy],
+        [(dx - one) * (dx - one), dy],
+        [dx - dy - one, dy * dy - dy],
+        [dx * dx - y * dy, dy * dy - one, x * dx - dy],
+        [dx - one, dy * dy],
+        [dx - one, x * dx - one],
+        [dx - one, one],
+        [dx, x * dx],
+        [dx * dy],
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +256,79 @@ def test_spairs_of_output_reduce_to_zero():
         assert keys == sorted(keys)
         for g in G.gens:
             assert g.leading(o.key)[1].is_one()
+
+
+def _disguised_two_point_ideal(rng, nvars, rat_coeffs):
+    """Generators of the ideal of two points with distinct x-coordinates,
+    hidden by two random elementary steps g_t += q * g_s (q of order at most
+    one), which keep the left ideal the same."""
+    ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
+    one = OreOperator.one(nvars)
+    a1, a2 = rng.sample(range(-3, 4), 2)
+    gens = [(ds[0] - a1 * one) * (ds[0] - a2 * one)]
+    for t in range(1, nvars + 1):
+        b, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        gens.append(ds[t] - b * one - (ds[0] - a1 * one).scale(Fraction(c - b, a2 - a1)))
+    for _ in range(2):
+        t, s = rng.sample(range(len(gens)), 2)
+        q = rand_operator(rng, nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
+        gens[t] = gens[t] + q * gens[s]
+    return gens
+
+
+def test_chain_criterion_keeps_the_fixture_and_golden_bases():
+    ideals = [(1, gens) for gens in fixture_ideals()]
+    ideals += [parse_ideal_file(p.read_text()) for p in sorted(GOLDEN.glob("*.ideal"))]
+    assert len(ideals) == len(fixture_ideals()) + 6
+    for nvars, gens in ideals:
+        for kind in KINDS:
+            o = TermOrder(kind, nvars)
+            assert groebner_basis(gens, o) == reference_groebner_basis(gens, o), (kind, gens)
+
+
+def test_chain_criterion_keeps_random_bases():
+    rng = random.Random(321)
+    for nvars in (1, 2):
+        for rat_coeffs in (False, True):
+            for kind in KINDS:
+                o = TermOrder(kind, nvars)
+                for _ in range(2):
+                    gens = _disguised_two_point_ideal(rng, nvars, rat_coeffs)
+                    G = groebner_basis(gens, o)
+                    assert len(G) == nvars + 1
+                    assert G == reference_groebner_basis(gens, o), (kind, gens)
+
+
+def test_chain_criterion_skips_pairs(monkeypatch):
+    # every pushed pair is either formed by _spoly or skipped; on this ideal
+    # the chain criterion skips some, and the basis stays the same
+    (dx, dy), (x, y), one = sym(1)
+    gens = [dx * dx - y * dy, dy * dy - one, x * dx - dy]
+    o = TermOrder.degrevlex(1)
+    expected = reference_groebner_basis(gens, o)
+    formed = pushed = 0
+    real_spoly, real_heapify, real_heappush = gb._spoly, gb.heapify, gb.heappush
+
+    def spoly(*args):
+        nonlocal formed
+        formed += 1
+        return real_spoly(*args)
+
+    def heapify(heap):
+        nonlocal pushed
+        pushed += len(heap)
+        real_heapify(heap)
+
+    def heappush(heap, item):
+        nonlocal pushed
+        pushed += 1
+        real_heappush(heap, item)
+
+    monkeypatch.setattr(gb, "_spoly", spoly)
+    monkeypatch.setattr(gb, "heapify", heapify)
+    monkeypatch.setattr(gb, "heappush", heappush)
+    assert groebner_basis(gens, o) == expected
+    assert 0 < formed < pushed, (formed, pushed)
 
 
 def test_unit_ideal_reduces_to_one():
