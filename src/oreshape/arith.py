@@ -4,7 +4,19 @@ A polynomial is a sparse dict mapping exponent tuples to nonzero Fractions.
 Exponent tuples have length nvars + 1 with position 0 holding the power of x
 and position i (1 <= i <= nvars) the power of yi.  Values are immutable by
 convention: no method mutates self or its arguments, every operation builds a
-new value, and construction canonicalizes (zero coefficients dropped).
+new value, and construction canonicalizes (zero coefficients dropped).  The
+canonical form is the set of terms: the insertion order of the terms dict is
+not part of it, and nothing may depend on it (==, hash and the printers do
+not).
+
+A product with a one-term factor is a scaled, shifted copy of the other
+factor.  Any other product runs over Z (Johnson, EUROSAM 1974; Monagan and
+Pearce, ISSAC 2009): each factor's denominators are cleared once, each
+exponent tuple is packed into one int in base b = 1 + maxexp(f) + maxexp(g)
+(Kronecker substitution), the products are summed over plain ints, and each
+surviving term is unpacked and divided by the two scales once.  No exponent
+of the product reaches b, so the packed sums never carry from one variable
+into the next.
 
 A rational function is a reduced fraction num/den of two such polynomials.
 The representation is pinned so that equal field elements compare equal as
@@ -44,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
-from operator import add, gt, neg, sub
+from operator import add, gt, mul, neg, sub
 
 from .errors import ArityError, DivisionByZero, PoleAtPoint
 
@@ -92,11 +104,11 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
+        return cls._make(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls.const(nvars, 1)
+        return cls._make(nvars, {(0,) * (nvars + 1): Fraction(1)})
 
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
@@ -204,14 +216,38 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        f, g = self.terms, other.terms
+        if len(f) > len(g):
+            f, g = g, f
+        if len(f) <= 1:
+            # zero or a monomial times g: distinct exponents stay distinct,
+            # and a product of nonzero Fractions is nonzero
+            return MultiPoly._make(
+                self.nvars, {tuple(map(add, e1, e)): c1 * c for e1, c1 in f.items() for e, c in g.items()}
+            )
+        fz, fm = _to_z(self)
+        gz, gm = _to_z(other)
+        # no product exponent reaches b, so packed sums never carry
+        b = 1 + max(map(max, fz)) + max(map(max, gz))
+        weights = [b**i for i in range(self.nvars + 1)]
+        gp = [(sum(map(mul, e, weights)), c) for e, c in gz.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e1, c1 in fz.items():
+            k1 = sum(map(mul, e1, weights))
+            for k2, c2 in gp:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        m = fm * gm
         out: dict[tuple[int, ...], Fraction] = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                s = get(expo)
-                out[expo] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly._make(self.nvars, {e: c for e, c in out.items() if c})
+        for k, c in acc.items():
+            if c:
+                expo = []
+                for _ in weights:
+                    k, r = divmod(k, b)
+                    expo.append(r)
+                out[tuple(expo)] = Fraction(c, m)
+        return MultiPoly._make(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -625,11 +661,12 @@ class RatFunc:
 
     @classmethod
     def zero(cls, nvars: int) -> "RatFunc":
-        return cls(MultiPoly.zero(nvars))
+        return cls._make(MultiPoly.zero(nvars), MultiPoly.one(nvars))
 
     @classmethod
     def one(cls, nvars: int) -> "RatFunc":
-        return cls(MultiPoly.one(nvars))
+        one = MultiPoly.one(nvars)
+        return cls._make(one, one)
 
     @classmethod
     def var(cls, nvars: int, index: int) -> "RatFunc":

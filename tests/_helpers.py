@@ -58,6 +58,22 @@ def poly_on_line(poly, point, var, sign):
 
 
 # ---------------------------------------------------------------------------
+# sparse multivariate product over Q
+# ---------------------------------------------------------------------------
+
+
+def reference_mul(f, g):
+    """Terms of the MultiPoly product f*g by the schoolbook double loop over
+    Fractions, the product MultiPoly used before its integer kernel."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            out[expo] = out.get(expo, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
 # random value generators (callers pass a seeded random.Random)
 # ---------------------------------------------------------------------------
 

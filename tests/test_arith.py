@@ -27,6 +27,7 @@ from _helpers import (
     rand_point,
     rand_poly,
     rand_ratfunc,
+    reference_mul,
 )
 
 
@@ -131,6 +132,106 @@ def test_canonical_form_decides_equality_random():
     a = RatFunc(x * x - one, x - one)
     b = RatFunc(x + one)
     assert a == b and (a.num.terms, a.den.terms) == (b.num.terms, b.den.terms)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+# ---------------------------------------------------------------------------
+
+
+def _kernel_operand(rng, nvars, max_exp, rational, max_terms=6):
+    """Random polynomial with up to max_terms terms and exponents up to max_exp."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        expo = tuple(rng.randint(0, max_exp) for _ in range(nvars + 1))
+        terms[expo] = Fraction(rng.randint(-9, 9), rng.randint(1, 6) if rational else 1)
+    return MultiPoly(nvars, terms)
+
+
+def _top_exponent_pair(rng, nvars, rational):
+    """(f, g) whose product has an exponent equal to b - 1 for the packing
+    base b = 1 + maxexp(f) + maxexp(g): f holds v^p and g holds v^q, where p
+    and q are the largest exponents of any variable in f and in g."""
+    v = rng.randint(0, nvars)
+    pair = []
+    for top in (rng.randint(1, 9), rng.randint(1, 9)):
+        p = _kernel_operand(rng, nvars, top, rational, max_terms=3)
+        expo = [0] * (nvars + 1)
+        expo[v] = top
+        pair.append(p + MultiPoly(nvars, {tuple(expo): Fraction(rng.choice([-5, 1, 7]))}))
+    return pair
+
+
+def _kernel_cases(rng, nvars):
+    one_var = [MultiPoly.var(nvars, i) for i in range(nvars + 1)]
+    for _ in range(25):
+        rational = rng.random() < 0.5
+        f = _kernel_operand(rng, nvars, rng.randint(1, 4), rational)
+        g = _kernel_operand(rng, nvars, rng.randint(1, 4), not rational)
+        yield f, g
+        # (a + b)(a - b): the cross terms cancel
+        yield f + g, f - g
+        yield f, MultiPoly.zero(nvars)
+        yield MultiPoly.zero(nvars), g
+        yield f, MultiPoly.const(nvars, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        yield rng.choice(one_var) * Fraction(-3, 2), g
+        yield _top_exponent_pair(rng, nvars, rational)
+
+
+def test_product_kernel_matches_the_fraction_loop():
+    rng = random.Random(109)
+    tops = 0
+    for nvars in (1, 2, 3):
+        for f, g in _kernel_cases(rng, nvars):
+            for h in (f * g, g * f):
+                assert h.terms == reference_mul(f, g), (f, g)
+                assert_canonical(h)
+            if len(f.terms) > 1 and len(g.terms) > 1:
+                b = 1 + max(map(max, f.terms)) + max(map(max, g.terms))
+                tops += any(b - 1 in e for e in (f * g).terms)
+    # the packing base is tight on some of the products
+    assert tops >= 20
+
+
+def test_product_kernel_with_scalars():
+    rng = random.Random(110)
+    for nvars in (1, 2, 3):
+        for _ in range(10):
+            f = _kernel_operand(rng, nvars, 3, rational=True)
+            for s in (0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 7)):
+                expected = reference_mul(f, MultiPoly(nvars, {(0,) * (nvars + 1): Fraction(s)}))
+                for h in (f * s, s * f):
+                    assert h.terms == expected
+                    assert_canonical(h)
+
+
+def test_product_kernel_cancellation():
+    x, y, one = P(1)
+    a = x**3 - Fraction(1, 2) * y + 2
+    b = Fraction(2, 3) * x * y - 5
+    assert (a + b) * (a - b) == a * a - b * b
+    # (x - y)(x^2 + x*y + y^2) = x^3 - y^3: four of the six products cancel
+    assert ((x - y) * (x * x + x * y + y * y)).terms == {(3, 0): 1, (0, 3): -1}
+    assert ((x + 1) * (x - 1) - x * x + 1).is_zero()
+
+
+def test_product_kernel_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(111)
+    for nvars in (1, 2, 3):
+        syms = sympy.symbols(f"x y1:{nvars + 1}")
+
+        def to_sympy(p):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, expo)))
+                 for expo, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        for f, g in itertools.islice(_kernel_cases(rng, nvars), 40):
+            expanded = sympy.Poly(sympy.expand(to_sympy(f) * to_sympy(g)), *syms)
+            want = {e: Fraction(int(c.p), int(c.q)) for e, c in expanded.terms() if c != 0}
+            assert (f * g).terms == want, (f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from oreshape.arith import MultiPoly, RatFunc, format_monomial, join_sum, power_product, var_name
 from oreshape.cli import main
 from oreshape.gb import GroebnerBasis
-from oreshape.ore import format_operator
+from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_EXPONENT, MAX_NESTING, parse_ideal_file
 
 from _helpers import rand_operator
@@ -308,3 +310,87 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "Dx^2 - 3*Dx + 2\n"
+
+
+# ---------------------------------------------------------------------------
+# results do not depend on the insertion order of term dicts
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _shuffled_poly(p, rng):
+    items = list(p.terms.items())
+    rng.shuffle(items)
+    return MultiPoly(p.nvars, dict(items))
+
+
+def _shuffled_ratfunc(f, rng):
+    return RatFunc(_shuffled_poly(f.num, rng), _shuffled_poly(f.den, rng))
+
+
+def _shuffled_operator(op, rng):
+    items = [(dm, _shuffled_ratfunc(c, rng)) for dm, c in op.terms.items()]
+    rng.shuffle(items)
+    return OreOperator(op.nvars, dict(items))
+
+
+def _shuffled_text(op, rng):
+    """op as ideal-file text, with its terms and its coefficients' terms in
+    random order."""
+    names = [var_name(i, op.nvars) for i in range(op.nvars + 1)]
+    dnames = [der_name(i, op.nvars) for i in range(op.nvars + 1)]
+
+    def poly(p):
+        items = list(p.terms.items())
+        rng.shuffle(items)
+        return "(" + join_sum([format_monomial(e, c, names) for e, c in items]) + ")"
+
+    items = list(op.terms.items())
+    rng.shuffle(items)
+    parts = []
+    for dm, c in items:
+        body = power_product(dm, dnames)
+        coeff = f"{poly(c.num)}/{poly(c.den)}"
+        parts.append(f"{coeff}*{body}" if body else coeff)
+    return " + ".join(parts)
+
+
+def test_values_do_not_depend_on_term_order():
+    rng = random.Random(502)
+    reordered = 0
+    for nvars in (1, 2):
+        ops = [rand_operator(rng, nvars, max_terms=4) for _ in range(12)]
+        shuffled = [_shuffled_operator(op, rng) for op in ops]
+        reordered += sum(list(a.terms) != list(b.terms) for a, b in zip(ops, shuffled))
+        pairs = list(zip(ops, shuffled))
+        pairs += [(a * b, sa * sb) for (a, sa), (b, sb) in zip(pairs, pairs[1:])]
+        for op, sop in pairs:
+            values = [(op, sop)]
+            for dm, c in op.terms.items():
+                values.append((c, sop.terms[dm]))
+                values.append((c.num, _shuffled_poly(c.num, rng)))
+                values.append((c.num * c.den, _shuffled_poly(c.num, rng) * _shuffled_poly(c.den, rng)))
+            for a, b in values:
+                assert a == b and hash(a) == hash(b) and str(a) == str(b), (a, b)
+    # the shuffles did reorder the dicts
+    assert reordered >= 5
+
+
+@pytest.mark.parametrize("name", ["rational", "two_points_n2", "double_point"])
+def test_cli_output_does_not_depend_on_term_order(capsys, tmp_path, name):
+    text = (GOLDEN / f"{name}.ideal").read_text()
+    nvars, ops = parse_ideal_file(text)
+    rng = random.Random(503)
+    shuffled = f"# nvars {nvars}\n" + "".join(_shuffled_text(op, rng) + "\n" for op in ops)
+    assert parse_ideal_file(shuffled) == (nvars, ops)
+    for command in (("parse",), ("gb",), ("shape",), ("solve", "--trunc", "5"), ("gauge",)):
+        outs = []
+        for source in (text, shuffled):
+            code, out, _ = run(capsys, command[0], write(tmp_path, source), *command[1:], "--json")
+            payload = json.loads(out)
+            # the digest is of the input text, which differs by construction
+            payload.pop("input_digest")
+            payload.pop("timings_ms", None)
+            outs.append((code, payload))
+        assert outs[0] == outs[1], command
