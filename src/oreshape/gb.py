@@ -42,7 +42,7 @@ from itertools import product
 
 from .arith import grevlex_key
 from .errors import ArityError, DegreeCapExceeded, NotZeroDimensional
-from .ore import OreOperator
+from .ore import OreOperator, der_name
 
 _KEYS = {
     # graded reverse lexicographic, Dx > Dy1 > ... > Dyn
@@ -184,8 +184,6 @@ class GroebnerBasis:
         """
         if "qb" in self._cache:
             return self._cache["qb"]
-        from .ore import der_name
-
         bounds = self._staircase_bounds()
         for t, b in enumerate(bounds):
             if b is None:

@@ -14,19 +14,22 @@ noncommutative content of the algebra; everything downstream (reduction,
 Groebner bases, elimination) sits on top of this product.
 
 TruncSeries is the exact truncated power-series module the operators act on.
-A series records the order N up to which its coefficients are guaranteed:
-every stored term has total degree < N.  Arithmetic tracks guarantees
-pessimistically: sums and products carry min(N1, N2), differentiation drops
-the order by one, and applying an operator of maximal derivative order d
-drops it by d.  Comparisons between series only ever look below the smaller
-recorded order.
+A series is a MultiPoly cut at the order N up to which its coefficients are
+guaranteed: it stores only the terms of total degree < N.  Every series
+operation is the MultiPoly operation followed by dropping the terms at or
+above the result's order, so products run through the integer product
+kernel of arith.  Orders track guarantees pessimistically: sums and products
+carry min(N1, N2), differentiation drops the order by one, and applying an
+operator of maximal derivative order d drops it by d.  Comparisons between
+series only ever look below the smaller recorded order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
-from .arith import RatFunc, format_monomial, format_ratfunc, grevlex_key, join_sum, power_product, var_name
+from .arith import MultiPoly, RatFunc, format_monomial, format_ratfunc, grevlex_key, join_sum, power_product, var_name
 from .errors import ArityError, InternalError, PoleAtOrigin, TruncationTooSmall
 
 
@@ -359,36 +362,38 @@ def _checked_shear_images(nvars: int, c: tuple[Fraction, ...], direction: str) -
 
 
 class TruncSeries:
-    """Power series truncated below a guaranteed total degree."""
+    """Power series truncated below a guaranteed total degree: a MultiPoly
+    holding only its terms of total degree < order, plus that order."""
 
-    __slots__ = ("nvars", "order", "coeffs")
+    __slots__ = ("poly", "order")
 
-    def __init__(self, nvars: int, order: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int, order: int, coeffs: MultiPoly | dict[tuple[int, ...], Fraction] | None = None):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        if coeffs:
-            for expo, v in coeffs.items():
-                v = Fraction(v)
-                if v and sum(expo) < order:
-                    cleaned[tuple(expo)] = v
-        self.nvars = nvars
+        if not isinstance(coeffs, MultiPoly):
+            coeffs = MultiPoly(nvars, coeffs)
+        elif coeffs.nvars != nvars:
+            raise ArityError(f"polynomial arity {coeffs.nvars} in a series with nvars={nvars}")
+        self.poly = MultiPoly._make(nvars, {e: c for e, c in coeffs.terms.items() if sum(e) < order})
         self.order = order
-        self.coeffs = cleaned
+
+    @property
+    def nvars(self) -> int:
+        return self.poly.nvars
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        return self.poly.terms
 
     @classmethod
     def one(cls, nvars: int, order: int) -> "TruncSeries":
-        return cls(nvars, order, {(0,) * (nvars + 1): Fraction(1)})
+        return cls(nvars, order, MultiPoly.one(nvars))
 
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(tuple(expo), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "TruncSeries") -> None:
-        if self.nvars != other.nvars:
-            raise ArityError(f"mixed arities: nvars {self.nvars} vs {other.nvars}")
+        return self.poly.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -400,95 +405,42 @@ class TruncSeries:
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self.coeffs.items())))
+        return hash((self.order, self.poly))
 
     def agrees_with(self, other: "TruncSeries") -> bool:
         """Equality of all coefficients below min(order, other.order)."""
-        self._check(other)
-        n = min(self.order, other.order)
-        for expo, v in self.coeffs.items():
-            if sum(expo) < n and other.coeffs.get(expo, Fraction(0)) != v:
-                return False
-        for expo, v in other.coeffs.items():
-            if sum(expo) < n and self.coeffs.get(expo, Fraction(0)) != v:
-                return False
-        return True
+        return TruncSeries(self.nvars, min(self.order, other.order), self.poly - other.poly).is_zero()
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op on the polynomials, cut at the smaller order; scalars keep self's."""
         if isinstance(other, (int, Fraction)):
-            other = TruncSeries(self.nvars, self.order, {(0,) * (self.nvars + 1): Fraction(other)})
+            return TruncSeries(self.nvars, self.order, op(self.poly, other))
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        self._check(other)
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for expo, v in other.coeffs.items():
-            s = out.get(expo, Fraction(0)) + v
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
-        return TruncSeries(self.nvars, order, out)
+        return TruncSeries(self.nvars, min(self.order, other.order), op(self.poly, other.poly))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.nvars, self.order, {e: -v for e, v in self.coeffs.items()})
+        return TruncSeries(self.nvars, self.order, -self.poly)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries(self.nvars, self.order, {(0,) * (self.nvars + 1): Fraction(other)})
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(
-                self.nvars, self.order, {e: v * Fraction(other) for e, v in self.coeffs.items()}
-            )
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        order = min(self.order, other.order)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, v1 in self.coeffs.items():
-            d1 = sum(e1)
-            if d1 >= order:
-                continue
-            for e2, v2 in other.coeffs.items():
-                if d1 + sum(e2) >= order:
-                    continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(expo, Fraction(0)) + v1 * v2
-                if s:
-                    out[expo] = s
-                else:
-                    out.pop(expo, None)
-        return TruncSeries(self.nvars, order, out)
+        return self._combine(other, mul)
 
     __rmul__ = __mul__
 
     def diff(self, index: int) -> "TruncSeries":
         """Partial derivative; the guaranteed order drops by one."""
-        out = {}
-        for expo, v in self.coeffs.items():
-            e = expo[index]
-            if e:
-                ne = list(expo)
-                ne[index] = e - 1
-                out[tuple(ne)] = v * e
-        return TruncSeries(self.nvars, self.order - 1, out)
+        return TruncSeries(self.nvars, self.order - 1, self.poly.derivative(index))
 
     def swap_vars(self, index: int) -> "TruncSeries":
-        if not 1 <= index <= self.nvars:
-            raise ArityError(f"index {index} out of range for nvars={self.nvars}")
-        out = {}
-        for expo, v in self.coeffs.items():
-            ne = list(expo)
-            ne[0], ne[index] = ne[index], ne[0]
-            out[tuple(ne)] = v
-        return TruncSeries(self.nvars, self.order, out)
+        return TruncSeries(self.nvars, self.order, self.poly.swap_vars(index))
 
     def __str__(self) -> str:
         return format_series(self)
@@ -503,19 +455,18 @@ def ratfunc_to_series(f: RatFunc, order: int) -> TruncSeries:
     Raises PoleAtOrigin when the denominator vanishes at 0.
     """
     nvars = f.nvars
-    num = TruncSeries(nvars, order, f.num.terms)
+    num = TruncSeries(nvars, order, f.num)
     if f.den.is_one():
         return num
-    origin = (0,) * (nvars + 1)
-    c0 = f.den.terms.get(origin, Fraction(0))
-    if c0 == 0:
+    c0 = f.den.terms.get((0,) * (nvars + 1))
+    if c0 is None:
         raise PoleAtOrigin(f"no series expansion at the origin for {f}")
     # 1/den = (1/c0) * 1/(1 - u) with u = 1 - den/c0 of positive valuation
-    u = -TruncSeries(nvars, order, {e: v / c0 for e, v in f.den.terms.items() if any(e)})
+    u = TruncSeries(nvars, order, 1 - f.den * (1 / c0))
     inv = TruncSeries.one(nvars, order)
     for _ in range(order - 1):
         inv = inv * u + 1
-    return num * inv * Fraction(1, c0)
+    return num * inv * (1 / c0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .arith import MultiPoly, grevlex_key
 from .errors import NonOrdinaryOrigin, PoleAtPoint, TruncationTooSmall
@@ -265,7 +265,7 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
         polys = polys_of(vec)
         image = TruncSeries(nvars, order + 4)
         for p, f in zip(polys, deep.members):
-            image = image + TruncSeries(nvars, order + 4, p.terms) * f
+            image = image + TruncSeries(nvars, order + 4, p) * f
         if image.is_zero():
             return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys), degree_bound, order)
         images.append(image)
@@ -283,17 +283,9 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
 
 
 def _normalize_witness(polys: list[MultiPoly]) -> tuple[MultiPoly, ...]:
-    from math import gcd as int_gcd, lcm as int_lcm
-
-    denom = 1
-    for p in polys:
-        for c in p.terms.values():
-            denom = int_lcm(denom, c.denominator)
-    num = 0
-    for p in polys:
-        for c in p.terms.values():
-            num = int_gcd(num, abs(c.numerator * denom // c.denominator))
-    scale = Fraction(denom, num if num else 1)
+    coeffs = [c for p in polys for c in p.terms.values()]
+    denom = lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(denom, gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)) or 1)
     first = next((p for p in polys if not p.is_zero()), None)
     if first is not None and first.lead()[1] * scale < 0:
         scale = -scale

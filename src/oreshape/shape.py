@@ -42,8 +42,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .arith import RatFunc
+from .arith import MultiPoly, RatFunc
 from .errors import (
     CyclicVectorNotFound,
     InternalError,
@@ -359,10 +360,6 @@ def cyclic_vector(
     with x-power multipliers x^d, 0 <= d <= degree_bound, in lexicographic
     order of the power tuples), then random polynomial coefficients.  Every
     candidate counts against max_attempts."""
-    from itertools import product as iproduct
-
-    from .arith import MultiPoly
-
     act = quotient_action(gb)
     r = act.r
     nvars = gb.nvars
@@ -373,7 +370,7 @@ def cyclic_vector(
         for dm in act.basis:
             yield OreOperator.monomial(nvars, dm)
         xvar = RatFunc.var(nvars, 0)
-        for powers in iproduct(range(degree_bound + 1), repeat=r):
+        for powers in product(range(degree_bound + 1), repeat=r):
             terms = {}
             for dm, d in zip(act.basis, powers):
                 terms[dm] = xvar**d

@@ -74,6 +74,68 @@ def reference_mul(f, g):
 
 
 # ---------------------------------------------------------------------------
+# truncated series arithmetic over Q
+# ---------------------------------------------------------------------------
+
+
+def _series_parts(f, other):
+    """(order, coeffs) of a series operand; a scalar is a constant series at
+    f's order."""
+    if isinstance(other, (int, Fraction)):
+        return f.order, {(0,) * (f.nvars + 1): Fraction(other)}
+    return other.order, other.coeffs
+
+
+def _cut(order, coeffs):
+    return order, {e: v for e, v in coeffs.items() if v and sum(e) < order}
+
+
+def reference_series_add(f, g):
+    """(order, coeffs) of f + g by the Fraction loop TruncSeries used before
+    it became a MultiPoly cut at its order; g may be an int or Fraction."""
+    g_order, g_coeffs = _series_parts(f, g)
+    out = dict(f.coeffs)
+    for expo, v in g_coeffs.items():
+        s = out.get(expo, Fraction(0)) + v
+        if s:
+            out[expo] = s
+        else:
+            out.pop(expo, None)
+    return _cut(min(f.order, g_order), out)
+
+
+def reference_series_mul(f, g):
+    """(order, coeffs) of f * g by the former TruncSeries double loop, which
+    skipped every product at or above the smaller order; g may be a scalar."""
+    if isinstance(g, (int, Fraction)):
+        return _cut(f.order, {e: v * Fraction(g) for e, v in f.coeffs.items()})
+    order = min(f.order, g.order)
+    out = {}
+    for e1, v1 in f.coeffs.items():
+        d1 = sum(e1)
+        if d1 >= order:
+            continue
+        for e2, v2 in g.coeffs.items():
+            if d1 + sum(e2) >= order:
+                continue
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            out[expo] = out.get(expo, Fraction(0)) + v1 * v2
+    return _cut(order, out)
+
+
+def reference_series_diff(f, index):
+    """(order, coeffs) of the partial derivative by the former TruncSeries loop."""
+    out = {}
+    for expo, v in f.coeffs.items():
+        e = expo[index]
+        if e:
+            ne = list(expo)
+            ne[index] = e - 1
+            out[tuple(ne)] = v * e
+    return _cut(f.order - 1, out)
+
+
+# ---------------------------------------------------------------------------
 # random value generators (callers pass a seeded random.Random)
 # ---------------------------------------------------------------------------
 
@@ -184,11 +246,12 @@ def grevlex_lead(terms):
 
 
 def assert_canonical(value):
-    """A MultiPoly, RatFunc or OreOperator holds tuple keys of the right
-    length and no zero coefficients (Fractions only, in a MultiPoly), and
-    equals the public constructor rebuilt from the same parts."""
+    """A MultiPoly, RatFunc, OreOperator or TruncSeries holds tuple keys of
+    the right length and no zero coefficients (Fractions only, in a MultiPoly
+    or a series, whose terms all lie below its order), and equals the public
+    constructor rebuilt from the same parts."""
     from oreshape.arith import MultiPoly, RatFunc
-    from oreshape.ore import OreOperator
+    from oreshape.ore import OreOperator, TruncSeries
 
     if isinstance(value, MultiPoly):
         for expo, c in value.terms.items():
@@ -206,6 +269,12 @@ def assert_canonical(value):
             assert isinstance(c, RatFunc) and c.nvars == value.nvars and not c.is_zero(), (dm, c)
             assert_canonical(c)
         assert OreOperator(value.nvars, dict(value.terms)) == value
+    elif isinstance(value, TruncSeries):
+        for expo, c in value.coeffs.items():
+            assert type(expo) is tuple and len(expo) == value.nvars + 1, expo
+            assert sum(expo) < value.order, (expo, value.order)
+            assert type(c) is Fraction and c != 0, (expo, c)
+        assert TruncSeries(value.nvars, value.order, dict(value.coeffs)) == value
     else:
         raise TypeError(f"not a canonical value type: {type(value).__name__}")
 

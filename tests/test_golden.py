@@ -15,9 +15,13 @@ Re-record them only for an intended change of output:
     PYTHONPATH=src python tests/test_golden.py --record
 
 `--check` compares without pytest and without `assert`, so it also runs
-under `python -O`; it exits non-zero on any mismatch:
+under `python -O` and where pytest is not installed; it exits non-zero on
+any mismatch:
 
     PYTHONPATH=src python -O tests/test_golden.py --check
+
+The module does not import pytest for that reason; the `pytest_generate_tests`
+hook below gives pytest one test per ideal.
 """
 
 import contextlib
@@ -25,8 +29,6 @@ import io
 import json
 import sys
 from pathlib import Path
-
-import pytest
 
 from oreshape.cli import main
 from oreshape.parsing import parse_ideal_file
@@ -84,7 +86,11 @@ def transcript(name: str) -> str:
     return "".join(out)
 
 
-@pytest.mark.parametrize("name", _names())
+def pytest_generate_tests(metafunc):
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", _names())
+
+
 def test_golden_transcript(name):
     expected = (GOLDEN / f"{name}.out").read_text()
     assert transcript(name) == expected

@@ -13,10 +13,21 @@ from fractions import Fraction
 import pytest
 
 from oreshape.arith import MultiPoly, RatFunc
-from oreshape.errors import PoleAtOrigin, TruncationTooSmall
+from oreshape.errors import ArityError, PoleAtOrigin, TruncationTooSmall
 from oreshape.ore import OreOperator, TruncSeries, ratfunc_to_series
 
-from _helpers import assert_canonical, exp_series, poly_times_exp_series, rand_operator, rand_ratfunc, rand_series
+from _helpers import (
+    assert_canonical,
+    exp_series,
+    monomials_below,
+    poly_times_exp_series,
+    rand_operator,
+    rand_ratfunc,
+    rand_series,
+    reference_series_add,
+    reference_series_diff,
+    reference_series_mul,
+)
 
 
 def sym(nvars):
@@ -116,6 +127,121 @@ def test_trusted_constructors_keep_the_canonical_form():
 
 
 # ---------------------------------------------------------------------------
+# series arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _rational_series(rng, nvars, order):
+    return TruncSeries(
+        nvars,
+        order,
+        {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for e in monomials_below(nvars, order)},
+    )
+
+
+def _series_pairs(rng, nvars):
+    """Seeded operand pairs: equal and mixed orders, rational coefficients,
+    zero series, and orders 0 and 1."""
+    for _ in range(6):
+        yield rand_series(rng, nvars, order=rng.randint(2, 5)), rand_series(rng, nvars, order=rng.randint(2, 5))
+    yield _rational_series(rng, nvars, 4), _rational_series(rng, nvars, 3)
+    f = rand_series(rng, nvars, order=4)
+    yield f, TruncSeries(nvars, 4, {e: -v for e, v in f.coeffs.items()})
+    for order in (0, 1):
+        yield rand_series(rng, nvars, order=order), rand_series(rng, nvars, order=3)
+        yield TruncSeries.one(nvars, order), _rational_series(rng, nvars, 2)
+    yield TruncSeries(nvars, 4, {}), rand_series(rng, nvars, order=3)
+
+
+def test_series_arithmetic_matches_the_fraction_loops():
+    rng = random.Random(208)
+    for nvars in (1, 2, 3):
+        for f, g in _series_pairs(rng, nvars):
+            for h, expected in (
+                (f + g, reference_series_add(f, g)),
+                (g + f, reference_series_add(g, f)),
+                (f * g, reference_series_mul(f, g)),
+                (g * f, reference_series_mul(g, f)),
+            ):
+                assert (h.order, h.coeffs) == expected, (f, g)
+                assert h.order == min(f.order, g.order)
+                assert_canonical(h)
+            assert f - g == f + (-g)
+            assert (-g).coeffs == {e: -v for e, v in g.coeffs.items()}
+            if f.order:
+                for index in range(nvars + 1):
+                    d = f.diff(index)
+                    assert (d.order, d.coeffs) == reference_series_diff(f, index)
+                    assert_canonical(d)
+            for h in (f - g, -g, f.swap_vars(nvars)):
+                assert_canonical(h)
+            assert f.swap_vars(nvars).swap_vars(nvars) == f
+            below = monomials_below(nvars, min(f.order, g.order))
+            assert f.agrees_with(g) == all(f.coefficient(e) == g.coefficient(e) for e in below)
+            # a term at f's order is past f's guarantee
+            longer = TruncSeries(nvars, f.order + 1, {**f.coeffs, (f.order,) + (0,) * nvars: Fraction(1)})
+            assert f.agrees_with(longer) and longer.agrees_with(f)
+            assert not longer.agrees_with(TruncSeries(nvars, f.order + 1, f.coeffs))
+
+
+def test_series_arithmetic_with_scalars():
+    rng = random.Random(209)
+    for nvars in (1, 2, 3):
+        for order in (0, 1, 4):
+            f = _rational_series(rng, nvars, order)
+            for s in (0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 7)):
+                for h, expected in (
+                    (f + s, reference_series_add(f, s)),
+                    (s + f, reference_series_add(f, s)),
+                    (f - s, reference_series_add(f, -s)),
+                    (f * s, reference_series_mul(f, s)),
+                    (s * f, reference_series_mul(f, s)),
+                ):
+                    assert (h.order, h.coeffs) == expected, (f, s)
+                    assert_canonical(h)
+
+
+def test_series_truncates_at_its_order():
+    x, y = MultiPoly.var(1, 0), MultiPoly.var(1, 1)
+    p = (x + y + 1) ** 4
+    f = TruncSeries(1, 3, p)
+    assert f == TruncSeries(1, 3, p.terms)
+    assert max(sum(e) for e in f.coeffs) == 2
+    assert_canonical(f)
+    # (1 + x)(2 + y) below order 1 keeps only the constant term
+    assert (TruncSeries(1, 1, x + 1) * TruncSeries(1, 1, y + 2)).coeffs == {(0, 0): 2}
+    # the product's high terms are cut, not carried: (1 + x)^2 below order 2
+    assert (TruncSeries(1, 2, x + 1) * TruncSeries(1, 2, x + 1)).coeffs == {(0, 0): 1, (1, 0): 2}
+    assert TruncSeries(1, 0, {(0, 0): 5}).is_zero()
+    assert (TruncSeries(1, 0) + 1).is_zero()
+    assert TruncSeries(1, 4, (x - x) + 0).is_zero()
+    with pytest.raises(ValueError):
+        TruncSeries(1, -1)
+    with pytest.raises(ValueError):
+        TruncSeries.one(1, 0).diff(0)
+
+
+def test_series_arity_and_operand_types():
+    f1, f2 = TruncSeries.one(1, 3), TruncSeries.one(2, 3)
+    for op in (
+        lambda: f1 + f2,
+        lambda: f1 - f2,
+        lambda: f1 * f2,
+        lambda: f1.agrees_with(f2),
+        lambda: TruncSeries(2, 3, MultiPoly.one(1)),
+    ):
+        with pytest.raises(ArityError):
+            op()
+    assert f1 != f2
+    assert not f1 == f2
+    assert TruncSeries(1, 3) != TruncSeries(2, 3)
+    p = MultiPoly.one(1)
+    for op in (lambda: f1 + p, lambda: p + f1, lambda: f1 - p, lambda: f1 * p, lambda: p * f1):
+        with pytest.raises(TypeError):
+            op()
+
+
+# ---------------------------------------------------------------------------
 # action on series
 # ---------------------------------------------------------------------------
 
@@ -208,8 +334,9 @@ def test_ratfunc_series_expansion():
     for _ in range(10):
         f = rand_ratfunc(rng, 1, unit_den_at_origin=True)
         s = ratfunc_to_series(f, 6)
-        lhs = s * TruncSeries(1, 6, f.den.terms)
-        assert lhs.agrees_with(TruncSeries(1, 6, f.num.terms))
+        assert_canonical(s)
+        lhs = s * TruncSeries(1, 6, f.den)
+        assert lhs.agrees_with(TruncSeries(1, 6, f.num))
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,18 @@ def test_witness_sum_vanishes_against_deeper_expansion():
             assert combo_coefficient(v.witness, sol.members, expo) == 0
 
 
+def test_witness_normalization():
+    x, y = MultiPoly.var(1, 0), MultiPoly.var(1, 1)
+    one, zero = MultiPoly.one(1), MultiPoly.zero(1)
+    norm = series._normalize_witness
+    # denominators cleared by their lcm, 30, and no integer content left
+    assert norm([x * Fraction(1, 2) - Fraction(1, 3), one * Fraction(2, 5)]) == (x * 15 - 10, one * 12)
+    # content 2 divided out; the first nonzero polynomial's lead is made positive
+    assert norm([zero, y * -4 + 6]) == (zero, y * 2 - 3)
+    assert norm([y * Fraction(-3, 4), x * Fraction(9, 2)]) == (y, x * -6)
+    assert norm([zero, zero]) == (zero, zero)
+
+
 def test_dependence_survives_shears():
     gb = fixture_gb("nilpotent_y")
     for c in (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)):
