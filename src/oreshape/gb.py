@@ -11,7 +11,12 @@ Reduction is the textbook top-reduction: walk the remainder's terms from the
 top down; cancel a term divisible by a generator's leading monomial with the
 first such generator, and keep any other.  A step changes only terms below
 the one it cancels, so this makes exactly the reductions of repeatedly
-cancelling the largest reducible term.
+cancelling the largest reducible term.  It keeps one remainder dict and a
+heap of its monomials (Monagan and Pearce, JSC 2011).  A step adds q * v in
+place for the other terms v of D^delta * g, q = -c / lc(g) (no division for
+lc(g) = 1), pushing new monomials and deleting cancelled ones; the top term
+cancels exactly and is dropped, and popped monomials no longer in the dict
+are skipped.  A GroebnerBasis keeps its generators' leads for its order.
 
 One consequence of the noncommutative coefficients is that the classical
 coprime-leading-monomial criterion is unsound here, so it is not used.
@@ -101,6 +106,10 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(i <= j for i, j in zip(a, b))
 
 
+def _leads(gens, order: TermOrder):
+    return [(g, *g.leading(order.key)) for g in gens if not g.is_zero()]
+
+
 def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
     """Full left normal form of f modulo the given generators.
 
@@ -113,21 +122,36 @@ def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
     Against a Groebner basis this is the K-linear normal-form projection
     onto standard monomials.
     """
-    gens = [g for g in (gens.gens if isinstance(gens, GroebnerBasis) else gens) if not g.is_zero()]
-    if any(g.nvars != f.nvars for g in gens):
+    cached = isinstance(gens, GroebnerBasis) and gens.order == order
+    lead = gens._cache["lead"] if cached else _leads(gens, order)
+    if any(g.nvars != f.nvars for g, _, _ in lead):
         raise ArityError("generator arity differs from operand")
-    lead = [(g, *g.leading(order.key)) for g in gens]
-    r = f
-    kept = set()  # terms of r that no leading monomial divides; they never change
-    while len(kept) < len(r.terms):
-        dm = max(r.terms.keys() - kept, key=order.key)
+    key = order.key
+    r = dict(f.terms)
+    heap = [(tuple(-k for k in key(dm)), dm) for dm in r]
+    heapify(heap)
+    while heap:
+        _, dm = heappop(heap)
+        c = r.get(dm)
+        if c is None:
+            continue  # cancelled after it was pushed
         for g, lm, lc in lead:
             if _divides(lm, dm):
-                r = r + g.shift(tuple(a - b for a, b in zip(dm, lm))).scale(-r.terms[dm] / lc)
+                q = -c if lc.is_one() else -c / lc
+                del r[dm]  # lm(D^delta * g) = dm with coefficient lc
+                for v, a in g.shift(tuple(i - j for i, j in zip(dm, lm))).terms.items():
+                    if v == dm:
+                        continue
+                    s = r.get(v)
+                    if s is None:
+                        r[v] = q * a
+                        heappush(heap, (tuple(-k for k in key(v)), v))
+                    elif s := s + q * a:
+                        r[v] = s
+                    else:
+                        del r[v]
                 break
-        else:
-            kept.add(dm)
-    return r
+    return OreOperator._make(f.nvars, r)
 
 
 def _spoly(g1: OreOperator, g2: OreOperator, order: TermOrder) -> OreOperator:
@@ -150,13 +174,13 @@ class GroebnerBasis:
         self.nvars = nvars
         self.order = order
         self.gens = tuple(gens)
-        self._cache = {}
+        self._cache = {"lead": _leads(self.gens, order)}
 
     def leading_monomials(self):
         return [g.leading(self.order.key)[0] for g in self.gens]
 
     def reduce(self, f: OreOperator) -> OreOperator:
-        return left_reduce(f, self.gens, self.order)
+        return left_reduce(f, self, self.order)
 
     def contains(self, f: OreOperator) -> bool:
         return self.reduce(f).is_zero()

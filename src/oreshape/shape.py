@@ -312,8 +312,11 @@ class ShearParams:
 def shear_ideal(gb: GroebnerBasis, c) -> GroebnerBasis:
     """Groebner basis of the ideal annihilating f(x, y + c*x) for solutions
     f of the input: apply the inverse substitution to every generator and
-    recomplete under the same order."""
+    recomplete under the same order.  For c = 0 that is the reduced basis
+    gb itself, since a reduced basis is unique, so gb is returned."""
     c = tuple(Fraction(v) for v in c)
+    if c == (0,) * gb.nvars:
+        return gb
     return groebner_basis([g.shear(c, "inverse") for g in gb.gens], gb.order)
 
 

@@ -12,11 +12,14 @@ for every operation below; truncated series solutions give a second one.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oreshape import shape
 from oreshape.arith import MultiPoly, RatFunc
 from oreshape.errors import (
+    ArityError,
     CyclicVectorNotFound,
     InternalError,
     NormalizationFailed,
@@ -25,6 +28,7 @@ from oreshape.errors import (
 )
 from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis
 from oreshape.ore import OreOperator
+from oreshape.parsing import parse_ideal_file
 from oreshape.series import solve_series
 from oreshape.shape import (
     QuotientAction,
@@ -318,6 +322,33 @@ def test_shear_ideal_round_trip_and_dimension():
             assert sheared.dimension() == r
             back = shear_ideal(sheared, (-c[0],))
             assert back.gens == gb.gens
+
+
+def _fixture_and_golden_bases():
+    bases = [fixture_gb(n) for n in ("two_points", "double_point", "exp_pair", "nilpotent_y", "unit", "axes")]
+    for p in sorted((Path(__file__).parent / "data" / "golden").glob("*.ideal")):
+        nvars, gens = parse_ideal_file(p.read_text())
+        bases.append(groebner_basis(gens, TermOrder.degrevlex(nvars)))
+    return bases
+
+
+def _recompleted_shear(gb, c):
+    return groebner_basis([g.shear(c, "inverse") for g in gb.gens], gb.order)
+
+
+def test_identity_shear_is_the_basis_itself(monkeypatch):
+    for gb in _fixture_and_golden_bases():
+        zero = (Fraction(0),) * gb.nvars
+        assert shear_ideal(gb, zero) is gb
+        assert shear_ideal(gb, (0,) * gb.nvars) is gb
+        assert gb == _recompleted_shear(gb, zero)
+    with pytest.raises(ArityError):
+        shear_ideal(fixture_gb("two_points"), (0, 0))
+    # normalize_by_shear finds the same shear and basis as when every
+    # candidate, c = 0 included, was recompleted
+    found = [normalize_by_shear(gb) for gb in _fixture_and_golden_bases()]
+    monkeypatch.setattr(shape, "shear_ideal", _recompleted_shear)
+    assert found == [normalize_by_shear(gb) for gb in _fixture_and_golden_bases()]
 
 
 def test_shear_makes_nilpotent_y_normal():
