@@ -174,9 +174,9 @@ def cmd_parse(args, inp: _Input):
 def cmd_mul(args, inp: _Input):
     if not inp.operators:
         raise ValueError("the input file contains no operators to multiply")
-    acc = inp.operators[0]
-    for g in inp.operators[1:]:
-        acc = acc * g
+    acc = inp.operators[-1]
+    for g in reversed(inp.operators[:-1]):
+        acc = g * acc
     return {"product": format_operator(acc)}, [format_operator(acc)]
 
 

@@ -13,6 +13,10 @@ D_t * c = c * D_t + dc/dt, applied recursively.  This is the whole
 noncommutative content of the algebra; everything downstream (reduction,
 Groebner bases, elimination) sits on top of this product.
 
+A product f*g shifts all of g once per term of f, one pass per derivative in
+that term, so it is cheap only when f is short.  __pow__ therefore builds
+self * out k times, and the CLI mul folds a file's product from the right.
+
 TruncSeries is the exact truncated power-series module the operators act on.
 A series is a MultiPoly cut at the order N up to which its coefficients are
 guaranteed: it stores only the terms of total degree < N.  Every series
@@ -224,12 +228,8 @@ class OreOperator:
         if k < 0:
             raise ValueError("negative power of an operator")
         out = OreOperator.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            out = self * out
         return out
 
     def monic(self, keyfn) -> "OreOperator":

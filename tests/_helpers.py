@@ -74,6 +74,28 @@ def reference_mul(f, g):
 
 
 # ---------------------------------------------------------------------------
+# operator powers
+# ---------------------------------------------------------------------------
+
+
+def reference_pow(op, k):
+    """op**k by repeated squaring, the loop OreOperator.__pow__ used before
+    it multiplied by op on the left k times."""
+    from oreshape.ore import OreOperator
+
+    if k < 0:
+        raise ValueError("negative power of an operator")
+    out = OreOperator.one(op.nvars)
+    base = op
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 # truncated series arithmetic over Q
 # ---------------------------------------------------------------------------
 

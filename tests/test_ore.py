@@ -9,12 +9,16 @@ frozen only after those independent checks passed.
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from oreshape.arith import MultiPoly, RatFunc
+from oreshape.cli import main
 from oreshape.errors import ArityError, PoleAtOrigin, TruncationTooSmall
-from oreshape.ore import OreOperator, TruncSeries, ratfunc_to_series
+from oreshape.ore import OreOperator, TruncSeries, format_operator, ratfunc_to_series
+from oreshape.parsing import parse_operator
 
 from _helpers import (
     assert_canonical,
@@ -24,6 +28,7 @@ from _helpers import (
     rand_operator,
     rand_ratfunc,
     rand_series,
+    reference_pow,
     reference_series_add,
     reference_series_diff,
     reference_series_mul,
@@ -124,6 +129,88 @@ def test_trusted_constructors_keep_the_canonical_form():
             values += [d * a for d in ds]
             for value in values:
                 assert_canonical(value)
+
+
+# ---------------------------------------------------------------------------
+# powers and the CLI product: the short factor goes on the left
+# ---------------------------------------------------------------------------
+
+
+def _rational_operator(rng, nvars, rat_coeffs):
+    """A random operator of order 1 whose coefficients carry non-unit rational
+    denominators, and polynomial ones too when rat_coeffs is set."""
+    while True:
+        op = rand_operator(rng, nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
+        if op.max_order() == 1:
+            break
+    scaled = {}
+    for dm, c in op.terms.items():
+        q = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(2, 7))
+        scaled[dm] = c * RatFunc.const(nvars, q)
+    return OreOperator(nvars, scaled)
+
+
+def test_power_matches_repeated_squaring():
+    # eighth powers of rational-function coefficients in two variables can
+    # take seconds, so those stop at the fourth
+    rng = random.Random(211)
+    for nvars in (1, 2):
+        for rat_coeffs, top in ((False, 8), (True, 4)):
+            for _ in range(4):
+                a = _rational_operator(rng, nvars, rat_coeffs)
+                for k in range(top + 1):
+                    assert a**k == reference_pow(a, k)
+                assert a**0 == 1
+                assert a**1 == a
+                with pytest.raises(ValueError):
+                    a**-1
+
+
+def test_cli_mul_is_the_product_in_file_order(capsys, tmp_path):
+    rng = random.Random(212)
+    for nvars in (1, 2):
+        for n in (1, 2, 3, 4):
+            ops = [_rational_operator(rng, nvars, rat_coeffs=True) for _ in range(n)]
+            path = tmp_path / f"n{nvars}-{n}.ideal"
+            path.write_text(f"# nvars {nvars}\n" + "".join(format_operator(g) + "\n" for g in ops))
+            assert main(["mul", str(path)]) == 0
+            assert capsys.readouterr().out == format_operator(reduce(mul, ops)) + "\n"
+
+
+def _left_factor_sizes(monkeypatch):
+    """Record the number of terms of every product's left factor."""
+    sizes = []
+    inner = OreOperator.__mul__
+
+    def spy(self, other):
+        sizes.append(len(self.terms))
+        return inner(self, other)
+
+    monkeypatch.setattr(OreOperator, "__mul__", spy)
+    return sizes
+
+
+def test_power_keeps_the_base_on_the_left(monkeypatch):
+    base = parse_operator("Dx + 2*x + 1", 1)
+    sizes = _left_factor_sizes(monkeypatch)
+    power = parse_operator("(Dx + 2*x + 1)^40", 1)
+    assert power.max_order() == 40
+    assert len(sizes) >= 40 and max(sizes) <= len(base.terms)
+
+
+def test_cli_mul_keeps_one_input_line_on_the_left(capsys, tmp_path, monkeypatch):
+    rng = random.Random(213)
+    lines = [
+        f"({rng.randint(1, 2)}*x - {rng.randint(1, 2)}*y1 + {rng.randint(1, 3)})*Dx + Dy1 - {rng.randint(1, 2)}"
+        for _ in range(7)
+    ]
+    longest = max(len(parse_operator(ln, 2).terms) for ln in lines)
+    path = tmp_path / "mul7.ideal"
+    path.write_text("# nvars 2\n" + "\n".join(lines) + "\n")
+    sizes = _left_factor_sizes(monkeypatch)
+    assert main(["mul", str(path)]) == 0
+    assert capsys.readouterr().out.count("Dx^7") == 1
+    assert len(sizes) >= 6 and max(sizes) <= longest
 
 
 # ---------------------------------------------------------------------------
