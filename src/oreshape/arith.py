@@ -10,13 +10,8 @@ not part of it, and nothing may depend on it (==, hash and the printers do
 not).
 
 A product with a one-term factor is a scaled, shifted copy of the other
-factor.  Any other product runs over Z (Johnson, EUROSAM 1974; Monagan and
-Pearce, ISSAC 2009): each factor's denominators are cleared once, each
-exponent tuple is packed into one int in base b = 1 + maxexp(f) + maxexp(g)
-(Kronecker substitution), the products are summed over plain ints, and each
-surviving term is unpacked and divided by the two scales once.  No exponent
-of the product reaches b, so the packed sums never carry from one variable
-into the next.
+factor.  Any other product clears each factor's denominators once and
+multiplies over Z (_z_mul).
 
 A rational function is a reduced fraction num/den of two such polynomials.
 The representation is pinned so that equal field elements compare equal as
@@ -32,7 +27,8 @@ integer xi >= 2*min(|f|_inf, |g|_inf) + 2, recurse down to math.gcd, rebuild
 the candidate from balanced xi-adic digits, and accept it only if it divides
 both inputs exactly, which at that xi proves it is the gcd (the theorem is
 stated at _heu_gcd).  After HEU_GCD_MAX growing points it falls back to a
-primitive polynomial remainder sequence.  Either way the gcd is a function
+primitive polynomial remainder sequence, which runs on the same integer
+dicts and multiplies with the same kernel.  Either way the gcd is a function
 of its inputs (primitive over Z, positive grevlex lead), so canonical forms
 do not depend on which algorithm found it.
 
@@ -54,6 +50,7 @@ not a term order for reduction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
 from operator import add, gt, mul, neg, sub
@@ -227,27 +224,8 @@ class MultiPoly:
             )
         fz, fm = _to_z(self)
         gz, gm = _to_z(other)
-        # no product exponent reaches b, so packed sums never carry
-        b = 1 + max(map(max, fz)) + max(map(max, gz))
-        weights = [b**i for i in range(self.nvars + 1)]
-        gp = [(sum(map(mul, e, weights)), c) for e, c in gz.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for e1, c1 in fz.items():
-            k1 = sum(map(mul, e1, weights))
-            for k2, c2 in gp:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
         m = fm * gm
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, c in acc.items():
-            if c:
-                expo = []
-                for _ in weights:
-                    k, r = divmod(k, b)
-                    expo.append(r)
-                out[tuple(expo)] = Fraction(c, m)
-        return MultiPoly._make(self.nvars, out)
+        return MultiPoly._make(self.nvars, {e: Fraction(c, m) for e, c in _z_mul(fz, gz).items()})
 
     __rmul__ = __mul__
 
@@ -337,8 +315,9 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery over Z: the heuristic gcd, with a primitive polynomial
-# remainder sequence as its fallback
+# integer polynomials: {exponent tuple: nonzero int} dicts, their product
+# kernel, and gcds by the heuristic gcd with a primitive polynomial remainder
+# sequence as its fallback
 # ---------------------------------------------------------------------------
 
 # Evaluation points the heuristic gcd tries at one level before poly_gcd
@@ -351,6 +330,36 @@ def _to_z(p: MultiPoly) -> tuple[dict[tuple[int, ...], int], int]:
     coefficient denominators."""
     m = int_lcm(*(c.denominator for c in p.terms.values()))
     return {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}, m
+
+
+def _z_mul(f: dict, g: dict) -> dict:
+    """Product of two nonzero integer polynomials (Johnson, EUROSAM 1974;
+    Monagan and Pearce, ISSAC 2009).
+
+    Each exponent tuple is packed into one int in base b = 1 + maxexp(f) +
+    maxexp(g) (Kronecker substitution), the products are summed over plain
+    ints, and each surviving term is unpacked once.  No exponent of the
+    product reaches b, so the packed sums never carry from one variable into
+    the next."""
+    b = 1 + max(map(max, f)) + max(map(max, g))
+    weights = [b**i for i in range(len(next(iter(f))))]
+    gp = [(sum(map(mul, e, weights)), c) for e, c in g.items()]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for e1, c1 in f.items():
+        k1 = sum(map(mul, e1, weights))
+        for k2, c2 in gp:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    out: dict[tuple[int, ...], int] = {}
+    for k, c in acc.items():
+        if c:
+            expo = []
+            for _ in weights:
+                k, r = divmod(k, b)
+                expo.append(r)
+            out[tuple(expo)] = c
+    return out
 
 
 def _z_is_constant(f: dict) -> bool:
@@ -490,96 +499,63 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
     return None
 
 
-# The fallback: a primitive polynomial remainder sequence on MultiPoly values
-# with integer coefficients.
+# The fallback: a primitive polynomial remainder sequence (Knuth, TAOCP
+# vol. 2, 4.6.1) on the same integer dicts.
 
 
-def _int_content(p: MultiPoly) -> int:
-    g = 0
-    for c in p.terms.values():
-        g = int_gcd(g, abs(c.numerator))
-    return g
+def _z_gcd(f: dict, g: dict) -> dict:
+    """gcd of two integer polynomials, up to sign and with their common
+    integer content: GCDHEU, then the remainder sequence if GCDHEU gives up."""
+    if not f or not g:
+        return f or g
+    if _z_is_constant(f) or _z_is_constant(g):
+        return {(0,) * len(next(iter(f))): int_gcd(*f.values(), *g.values())}
+    h = _heu_gcd(f, g)
+    return _gcd_z(f, g) if h is None else h
 
 
-def _normalize_z(p: MultiPoly) -> MultiPoly:
-    """Divide out integer content and make the grevlex-leading coefficient positive."""
-    if p.is_zero():
-        return p
-    g = _int_content(p)
-    _, lc = p.lead()
-    if lc < 0:
-        g = -g
-    if g != 1:
-        p = p * Fraction(1, g)
-    return p
+def _z_coeffs(f: dict, v: int) -> dict[int, dict]:
+    """{k: coefficient of v^k in f}, with position v of each exponent set to 0."""
+    out: dict[int, dict] = {}
+    for e, c in f.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return out
 
 
-def _coeff_in(p: MultiPoly, v: int, k: int) -> MultiPoly:
-    """Coefficient of v^k, as a polynomial with the v-exponent zeroed."""
-    out = {}
-    for expo, c in p.terms.items():
-        if expo[v] == k:
-            ne = list(expo)
-            ne[v] = 0
-            out[tuple(ne)] = c
-    return MultiPoly(p.nvars, out)
+def _z_content_pp(f: dict, v: int) -> tuple[dict, dict]:
+    """(content, primitive part) of a nonzero f as a polynomial in v.  The
+    content is the gcd of the coefficients, integer content included, so the
+    primitive part has integer content 1."""
+    cont = reduce(_z_gcd, _z_coeffs(f, v).values())
+    return cont, _z_divide(f, cont)
 
 
-def _times_power(p: MultiPoly, v: int, k: int) -> MultiPoly:
-    if k == 0:
-        return p
-    out = {}
-    for expo, c in p.terms.items():
-        ne = list(expo)
-        ne[v] += k
-        out[tuple(ne)] = c
-    return MultiPoly(p.nvars, out)
-
-
-def _prem(u: MultiPoly, w: MultiPoly, v: int) -> MultiPoly:
-    """Pseudo-remainder of u by w in the variable v (w nonzero in v)."""
-    dw = w.degree_in(v)
-    lw = _coeff_in(w, v, dw)
-    r = u
-    while not r.is_zero():
-        dr = r.degree_in(v)
-        if dr < dw:
-            break
-        lr = _coeff_in(r, v, dr)
-        r = lw * r - _times_power(lr * w, v, dr - dw)
-    return r
-
-
-def _content_pp(p: MultiPoly, v: int) -> tuple[MultiPoly, MultiPoly]:
-    """(content, primitive part) of p viewed as univariate in v."""
-    cont = MultiPoly.zero(p.nvars)
-    for k in range(p.degree_in(v) + 1):
-        c = _coeff_in(p, v, k)
-        if not c.is_zero():
-            cont = _gcd_z(cont, c)
-    return cont, divexact(p, cont)
-
-
-def _gcd_z(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd of integer-coefficient polynomials, primitive with positive lead."""
-    if f.is_zero():
-        return _normalize_z(g)
-    if g.is_zero():
-        return _normalize_z(f)
-    if f.is_constant() or g.is_constant():
-        return MultiPoly.const(f.nvars, int_gcd(_int_content(f), _int_content(g)))
-    v = 0
-    while f.degree_in(v) <= 0 and g.degree_in(v) <= 0:
-        v += 1
-    cf, pf = _content_pp(f, v)
-    cg, pg = _content_pp(g, v)
-    c = _gcd_z(cf, cg)
-    u, w = (pf, pg) if pf.degree_in(v) >= pg.degree_in(v) else (pg, pf)
-    while not w.is_zero():
-        r = _prem(u, w, v)
-        u = w
-        w = r if r.is_zero() else _content_pp(r, v)[1]
-    return _normalize_z(c * _normalize_z(u))
+def _gcd_z(f: dict, g: dict) -> dict:
+    """gcd of two nonconstant integer polynomials, up to sign and with their
+    common integer content, in the first variable v that occurs: the gcd of
+    the contents times the last nonzero primitive part of the remainder
+    sequence that starts from the two primitive parts."""
+    v = min(i for e in (*f, *g) for i, k in enumerate(e) if k)
+    cf, u = _z_content_pp(f, v)
+    cg, w = _z_content_pp(g, v)
+    if max(e[v] for e in u) < max(e[v] for e in w):
+        u, w = w, u
+    while w:
+        # the pseudo-remainder of u by w: r <- lc(w)*r - lc(r)*v^(dr-dw)*w
+        dw = max(e[v] for e in w)
+        lw = _z_coeffs(w, v)[dw]
+        r = u
+        while r and (dr := max(e[v] for e in r)) >= dw:
+            t = {e[:v] + (dr - dw,) + e[v + 1:]: c for e, c in r.items() if e[v] == dr}
+            r = _z_mul(lw, r)
+            for e, c in _z_mul(t, w).items():
+                c = r.get(e, 0) - c
+                if c:
+                    r[e] = c
+                else:
+                    del r[e]
+        u, w = w, r and _z_content_pp(r, v)[1]
+    return _z_mul(_z_gcd(cf, cg), u)
 
 
 def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -614,17 +590,12 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         raise ArityError(f"mixed arities: nvars {a.nvars} vs {b.nvars}")
     f, _ = _to_z(a)
     g, _ = _to_z(b)
-    if not f or not g:
-        h = f or g
-        if not h:
-            return MultiPoly.zero(a.nvars)
-    elif _z_is_constant(f) or _z_is_constant(g):
-        return MultiPoly.const(a.nvars, int_gcd(*f.values(), *g.values()))
-    else:
-        h = _heu_gcd(f, g)
-        if h is None:
-            return _gcd_z(MultiPoly(a.nvars, f), MultiPoly(b.nvars, g))
-    return MultiPoly._make(a.nvars, {e: Fraction(c) for e, c in _z_primitive(h).items()})
+    h = _z_gcd(f, g)
+    if not h:
+        return MultiPoly.zero(a.nvars)
+    if not (f and g and (_z_is_constant(f) or _z_is_constant(g))):
+        h = _z_primitive(h)
+    return MultiPoly._make(a.nvars, {e: Fraction(c) for e, c in h.items()})
 
 
 class RatFunc:
@@ -868,15 +839,18 @@ def power_product(expo: tuple[int, ...], names: list[str]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for e, name in zip(expo, names) if e)
 
 
-def format_monomial(expo: tuple[int, ...], coeff: Fraction, names: list[str]) -> str:
+def format_monomial(expo: tuple[int, ...], coeff, names: list[str]) -> str:
+    """coeff*body, with coeff printed by str(); a coefficient that prints as
+    1 or -1 prints only its sign."""
     body = power_product(expo, names)
+    c = str(coeff)
     if not body:
-        return str(coeff)
-    if coeff == 1:
+        return c
+    if c == "1":
         return body
-    if coeff == -1:
+    if c == "-1":
         return "-" + body
-    return f"{coeff}*{body}"
+    return f"{c}*{body}"
 
 
 def format_poly(p: MultiPoly) -> str:

@@ -23,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -140,10 +141,18 @@ def _main_var_index(spec: str | None, nvars: int) -> int:
     raise ArityError(f"--main-var must be Dx or Dy1..Dy{nvars}, got {spec!r}")
 
 
+# Fraction() alone would also read exponent notation: reading 1e10000000
+# takes it about 8 s, and a shear by that number does not finish.
+_SHEAR_COEFF = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _parse_shear_vector(text: str, nvars: int) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != nvars:
         raise ArityError(f"--shear needs {nvars} comma-separated rationals, got {len(parts)}")
+    for p in parts:
+        if not _SHEAR_COEFF.fullmatch(p):
+            raise ParseError(f"bad shear coefficient {p!r}: expected an integer, a/b or a decimal")
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -406,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shear",
         required=True,
         metavar="C1,..,CN",
-        help="shear coefficients, one rational per y-variable",
+        help="shear coefficients, one rational per y-variable: an integer, a/b or a decimal",
     )
     pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position", search=True)
     pno.add_argument(

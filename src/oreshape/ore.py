@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .arith import MultiPoly, RatFunc, format_monomial, format_ratfunc, grevlex_key, join_sum, power_product, var_name
+from .arith import MultiPoly, RatFunc, format_monomial, format_ratfunc, grevlex_key, join_sum, var_name
 from .errors import ArityError, InternalError, PoleAtOrigin, TruncationTooSmall
 
 
@@ -481,19 +481,10 @@ def format_operator(op: OreOperator) -> str:
     parts = []
     for dm in sorted(op.terms, key=grevlex_key, reverse=True):
         c = op.terms[dm]
-        body = power_product(dm, names)
-        if not body:
-            parts.append(format_ratfunc(c))
-            continue
-        if c.is_one():
-            parts.append(body)
-        elif c == RatFunc.const(op.nvars, -1):
-            parts.append("-" + body)
-        else:
-            c_s = format_ratfunc(c)
-            if c.is_polynomial() and len(c.num.terms) > 1:
-                c_s = f"({c_s})"
-            parts.append(f"{c_s}*{body}")
+        c_s = format_ratfunc(c)
+        if any(dm) and c.is_polynomial() and len(c.num.terms) > 1:
+            c_s = f"({c_s})"
+        parts.append(format_monomial(dm, c_s, names))
     return join_sum(parts)
 
 

@@ -17,8 +17,8 @@ ruling out expressions whose meaning would depend on operator inverses.
 
 Ideal files: one operator per line.  '#' starts a comment running to the
 end of the line.  An optional directive line '# nvars <n>' (also accepted
-without the space) declares the number of y-variables; it must come before
-the first operator and defaults to 1.
+without the space) declares the number n of y-variables, 1 <= n <=
+MAX_NVARS; it must come before the first operator and defaults to 1.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ MAX_NESTING = 100
 # without it Dx^100000000000 never returned.  It is far above the
 # completion's default degree cap of 30.
 MAX_EXPONENT = 1000
+
+# Largest n the '# nvars <n>' directive accepts, checked when the directive
+# is read: every exponent tuple has n + 1 entries, so a parse costs time and
+# memory in proportion to n.
+MAX_NVARS = 100
 
 
 def _tokenize(text: str, line: int):
@@ -228,8 +233,8 @@ def parse_ideal_file(text: str) -> tuple[int, list[OreOperator]]:
             if nvars is not None:
                 raise ParseError("duplicate nvars directive", lineno, 1)
             nvars = int(m.group(1))
-            if nvars < 1:
-                raise ParseError("nvars must be at least 1", lineno, 1)
+            if not 1 <= nvars <= MAX_NVARS:
+                raise ParseError(f"nvars must be between 1 and {MAX_NVARS}", lineno, 1)
             continue
         body = strip_comment(raw)
         if not body.strip():

@@ -13,6 +13,10 @@ import sys
 
 import pytest
 
+# Pytest rewrites asserts only in test modules; under python -O the asserts
+# of the shared helpers would vanish without this.
+pytest.register_assert_rewrite("_helpers")
+
 # The slowest test takes about 2.5 s.
 LIMIT = 60
 

@@ -334,16 +334,36 @@ def test_gcd_agrees_with_sympy():
 
 
 def test_gcd_fallback_gives_the_same_answers(monkeypatch):
+    """With GCDHEU switched off, the remainder sequence gives GCDHEU's
+    answers on every shape.  Each of its own answers, the content gcds it
+    recurses into included, divides both arguments exactly and, when sympy
+    is installed, is sympy's gcd up to sign: it keeps the common integer
+    content, and a primitive part that kept an integer factor fails both."""
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
     rng = random.Random(112)
-    shapes = ((1, 0, 2), (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 0, 1), (2, 1, 1))
-    cases = _gcd_cases(rng, shapes + shapes)
+    cases = _gcd_cases(rng, GCD_SHAPES)
     want = [poly_gcd(f, g) for f, g in cases]
-    prs_calls = []
     prs = arith._gcd_z
+    answers = []
+
+    def spy(f, g):
+        h = prs(f, g)
+        assert arith._z_divide(f, h) is not None and arith._z_divide(g, h) is not None, (f, g, h)
+        if sympy is not None:
+            syms = sympy.symbols(f"v0:{len(next(iter(f)))}")
+            ref = sympy.Poly.from_dict(f, syms, domain=sympy.ZZ).gcd(sympy.Poly.from_dict(g, syms, domain=sympy.ZZ))
+            ref = {e: int(c) for e, c in ref.terms()}
+            assert h in (ref, {e: -c for e, c in ref.items()}), (f, g, h)
+        answers.append(h)
+        return h
+
     monkeypatch.setattr(arith, "HEU_GCD_MAX", 0)
-    monkeypatch.setattr(arith, "_gcd_z", lambda f, g: prs_calls.append(1) or prs(f, g))
+    monkeypatch.setattr(arith, "_gcd_z", spy)
     assert [poly_gcd(f, g) for f, g in cases] == want
-    assert prs_calls
+    assert len(answers) >= len(cases)
 
 
 def test_gcd_of_the_runaway_pair_is_one(monkeypatch):

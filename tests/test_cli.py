@@ -10,6 +10,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from oreshape.arith import MultiPoly, RatFunc, format_monomial, join_sum, power_
 from oreshape.cli import main
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
-from oreshape.parsing import MAX_EXPONENT, MAX_NESTING, parse_ideal_file
+from oreshape.parsing import MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
 
 from _helpers import rand_operator
 
@@ -174,6 +175,19 @@ def test_shear_command_and_arity(capsys, tmp_path):
     assert code == 2 and "shear" in err
 
 
+def test_shear_coefficients_are_plain_rationals(capsys, tmp_path):
+    path = write(tmp_path, "Dx^2 - 1\nDy - Dx\n")
+    for shear, line in (("1/2", "Dx - 3/2*Dy"), ("0.5", "Dx - 3/2*Dy"), ("-3", "Dx + 2*Dy"), ("+2", "Dx - 3*Dy")):
+        code, out, _ = run(capsys, "shear", path, "--shear", shear)
+        assert code == 0 and out == f"# nvars 1\n{line}\nDy^2 - 1\n", shear
+    # Fraction() alone reads exponent notation, and 1e10000000 never finished
+    for shear in ("1e3", ".5", "5.", "1/-2", "0x10", "inf", "nan", "1_000", "1e10000000"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "shear", path, "--shear", shear)
+        assert code == 2 and "bad shear coefficient" in err and "Traceback" not in err, shear
+        assert time.perf_counter() - start < 1, shear
+
+
 def test_normalize_command(capsys, tmp_path):
     path = write(tmp_path, EXP_PAIR)
     code, out, _ = run(capsys, "normalize", path)
@@ -283,6 +297,15 @@ def test_exponent_above_the_cap_is_a_parse_error(capsys, monkeypatch):
         code, out, err = run(capsys, "parse", "-", stdin=text + "\n", monkeypatch=monkeypatch)
         assert code == 2
         assert err.startswith("error: ") and "exponent larger than" in err and "Traceback" not in err
+
+
+def test_nvars_above_the_cap_is_a_parse_error(capsys, monkeypatch):
+    text = f"# nvars {MAX_NVARS}\nx*Dx + y1*Dy1\n"
+    assert run(capsys, "parse", "-", stdin=text, monkeypatch=monkeypatch)[:2] == (0, text)
+    # the cap is checked before any exponent tuple of that length is built
+    for n in (MAX_NVARS + 1, 1000000000):
+        code, out, err = run(capsys, "parse", "-", stdin=f"# nvars {n}\nx*Dx + y1*Dy1\n", monkeypatch=monkeypatch)
+        assert code == 2 and err.startswith("error: nvars must be between 1 and") and "Traceback" not in err
 
 
 def test_runaway_gauge_then_solve_completes(capsys, monkeypatch):
