@@ -52,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from operator import add, gt, mul, neg, sub
 
 from .errors import ArityError, DivisionByZero, PoleAtPoint
@@ -267,34 +267,30 @@ class MultiPoly:
         return total
 
     def shear_vars(self, shifts) -> "MultiPoly":
-        """Substitute yi <- yi + shifts[i-1] * x for every parameter yi."""
+        """Substitute yi <- yi + shifts[i-1] * x for every parameter yi: the
+        sum of c * x^e0 * prod_i (yi + shifts[i-1] * x)^ei over the terms,
+        each power of an image formed once per call."""
         if len(shifts) != self.nvars:
             raise ArityError(f"{len(shifts)} shear constants for nvars={self.nvars}")
         shifts = [Fraction(s) for s in shifts]
-        if not any(shifts):
+        if not any(shifts) or not any(any(e[1:]) for e in self.terms):
             return self
-        out: dict[tuple[int, ...], Fraction] = {}
+        n = self.nvars
+        x = MultiPoly.var(n, 0)
+        powers = []
+        for i, s in enumerate(shifts, start=1):
+            img = MultiPoly.var(n, i) + x * s
+            p = [MultiPoly.one(n)]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                p.append(p[-1] * img)
+            powers.append(p)
+        out = MultiPoly.zero(n)
         for expo, c in self.terms.items():
-            # expand prod_i (yi + s_i x)^{e_i} term by term
-            acc = [(0, (), Fraction(1))]
-            for i in range(1, self.nvars + 1):
-                e, s = expo[i], shifts[i - 1]
-                if e == 0 or s == 0:
-                    acc = [(dx, ys + (e,), m) for dx, ys, m in acc]
-                    continue
-                acc = [
-                    (dx + k, ys + (e - k,), m * comb(e, k) * s**k)
-                    for dx, ys, m in acc
-                    for k in range(e + 1)
-                ]
-            for dx, ys, m in acc:
-                key = (expo[0] + dx, *ys)
-                v = out.get(key, Fraction(0)) + c * m
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return MultiPoly(self.nvars, out)
+            t = MultiPoly._make(n, {(expo[0],) + (0,) * n: c})
+            for p, e in zip(powers, expo[1:]):
+                t = t * p[e]
+            out = out + t
+        return out
 
     def swap_vars(self, index: int) -> "MultiPoly":
         """Exchange the roles of x and y_index in every exponent tuple."""

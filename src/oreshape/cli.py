@@ -47,7 +47,7 @@ from .errors import (
 )
 from .gb import GroebnerBasis, TermOrder, groebner_basis
 from .ore import TruncSeries, format_operator, format_series
-from .parsing import parse_ideal_file, parse_operator
+from .parsing import check_digits, parse_ideal_file, parse_operator
 from .series import (
     d_radical_check,
     in_normal_position_series,
@@ -153,9 +153,11 @@ def _parse_shear_vector(text: str, nvars: int) -> tuple[Fraction, ...]:
     for p in parts:
         if not _SHEAR_COEFF.fullmatch(p):
             raise ParseError(f"bad shear coefficient {p!r}: expected an integer, a/b or a decimal")
+        for digits in re.findall("[0-9]+", p):
+            check_digits(digits)
     try:
         return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad shear coefficient: {exc}") from None
 
 
@@ -275,28 +277,22 @@ def cmd_check_dradical(args, inp: _Input):
     return result, lines
 
 
-def cmd_shear(args, inp: _Input):
-    c = _parse_shear_vector(args.shear, inp.nvars)
-    gb = shear_ideal(inp.ideal(), c)
-    result = {
-        "shear": [str(ci) for ci in c],
-        "basis": [format_operator(g) for g in gb.gens],
-    }
+def _shear_result(inp: _Input, c, gb: GroebnerBasis) -> tuple[dict, list]:
+    result = {"shear": [str(ci) for ci in c], "basis": [format_operator(g) for g in gb.gens]}
     return result, _ideal_file_lines(inp.nvars, gb.gens)
 
 
+def cmd_shear(args, inp: _Input):
+    c = _parse_shear_vector(args.shear, inp.nvars)
+    return _shear_result(inp, c, shear_ideal(inp.ideal(), c))
+
+
 def cmd_normalize(args, inp: _Input):
-    gb = inp.ideal()
     params, sheared = normalize_by_shear(
-        gb, seed=args.seed, max_attempts=args.max_attempts, coeff_range=args.coeff_range
+        inp.ideal(), seed=args.seed, max_attempts=args.max_attempts, coeff_range=args.coeff_range
     )
-    result = {
-        "shear": [str(ci) for ci in params.c],
-        "basis": [format_operator(g) for g in sheared.gens],
-    }
-    lines = ["shear: " + ",".join(str(ci) for ci in params.c)]
-    lines += _ideal_file_lines(inp.nvars, sheared.gens)
-    return result, lines
+    result, lines = _shear_result(inp, params.c, sheared)
+    return result, ["shear: " + ",".join(result["shear"])] + lines
 
 
 def cmd_solve(args, inp: _Input):

@@ -270,33 +270,23 @@ class OreOperator:
 
     # -- substitutions ---------------------------------------------------------
 
-    def shear(self, c, direction: str) -> "OreOperator":
-        """Image under the linear change of variables tied to y <- y -+ c*x.
+    def shear(self, c) -> "OreOperator":
+        """Image under the shear by c: the algebra automorphism that sends
+        yi to yi + ci*x and Dx to Dx - sum(ci*Dyi), and fixes x and every Dyi.
 
-        direction "forward" sends Dx to Dx + sum(ci*Dyi) and yi to yi - ci*x;
-        "inverse" sends Dx to Dx - sum(ci*Dyi) and yi to yi + ci*x.  The two
-        maps are mutually inverse algebra automorphisms; the images are
-        checked once per (nvars, c, direction) to satisfy the same
-        commutation relations as the symbols they replace.
+        If the operator annihilates f(x, y), its image annihilates
+        f(x, y + c*x).  shear(-c) is the inverse map.  The images are checked
+        once per (nvars, c) to satisfy the same commutation relations as the
+        symbols they replace.
         """
         if len(c) != self.nvars:
             raise ArityError(f"{len(c)} shear constants for nvars={self.nvars}")
         c = tuple(Fraction(v) for v in c)
-        if direction not in ("forward", "inverse"):
-            raise ValueError(f"unknown shear direction {direction!r}")
-        _checked_shear_images(self.nvars, c, direction)
-        sign = 1 if direction == "forward" else -1
-        shifts = tuple(-sign * ci for ci in c)
-        dx_img = _dx_image(self.nvars, c, sign)
+        dx_img = _checked_shear_images(self.nvars, c)
         total = OreOperator.zero(self.nvars)
         for dm, coeff in self.terms.items():
-            t = OreOperator.from_coeff(coeff.shear_vars(shifts))
-            if dm[0]:
-                t = t * dx_img ** dm[0]
-            rest = (0, *dm[1:])
-            if any(rest):
-                t = t * OreOperator.monomial(self.nvars, rest)
-            total = total + t
+            ys = OreOperator.monomial(self.nvars, (0, *dm[1:]))
+            total = total + OreOperator.from_coeff(coeff.shear_vars(c)) * dx_img ** dm[0] * ys
         return total
 
     def swap_roles(self, index: int) -> "OreOperator":
@@ -317,38 +307,26 @@ class OreOperator:
         return f"OreOperator({self})"
 
 
-def _dx_image(nvars: int, c: tuple[Fraction, ...], sign: int) -> OreOperator:
-    terms = {}
-    dx = [0] * (nvars + 1)
-    dx[0] = 1
-    terms[tuple(dx)] = RatFunc.one(nvars)
-    for i, ci in enumerate(c, start=1):
-        if ci:
-            dm = [0] * (nvars + 1)
-            dm[i] = 1
-            terms[tuple(dm)] = RatFunc.const(nvars, sign * ci)
-    return OreOperator(nvars, terms)
+_shear_checked: dict = {}
 
 
-_shear_checked: set = set()
-
-
-def _checked_shear_images(nvars: int, c: tuple[Fraction, ...], direction: str) -> None:
-    """Verify the substitution images satisfy the defining relations.
+def _checked_shear_images(nvars: int, c: tuple[Fraction, ...]) -> OreOperator:
+    """Dx - sum(ci*Dyi), the image of Dx under the shear by c, returned once
+    the images of the symbols (those of the variables from shear_vars) pass
+    a check.
 
     Cheap insurance that the sign conventions stay consistent: for each pair
     of an image derivative and an image variable the commutator must be 1 on
     the matching pair and 0 otherwise, and image derivatives must commute.
     """
-    key = (nvars, c, direction)
-    if key in _shear_checked:
-        return
-    sign = 1 if direction == "forward" else -1
-    ders = [_dx_image(nvars, c, sign)] + [OreOperator.D(nvars, i) for i in range(1, nvars + 1)]
-    varops = [OreOperator.from_coeff(RatFunc.var(nvars, 0))]
-    for i in range(1, nvars + 1):
-        img = RatFunc.var(nvars, i) - RatFunc.var(nvars, 0) * (sign * c[i - 1])
-        varops.append(OreOperator.from_coeff(img))
+    key = (nvars, c)
+    dx_img = _shear_checked.get(key)
+    if dx_img is not None:
+        return dx_img
+    dys = [OreOperator.D(nvars, i) for i in range(1, nvars + 1)]
+    dx_img = OreOperator.D(nvars, 0) - sum((d.scale(ci) for d, ci in zip(dys, c)), OreOperator.zero(nvars))
+    ders = [dx_img] + dys
+    varops = [OreOperator.from_coeff(RatFunc.var(nvars, i).shear_vars(c)) for i in range(nvars + 1)]
     one = OreOperator.one(nvars)
     zero = OreOperator.zero(nvars)
     for a in range(nvars + 1):
@@ -358,7 +336,8 @@ def _checked_shear_images(nvars: int, c: tuple[Fraction, ...], direction: str) -
                 raise InternalError("shear images break commutation relations")
             if ders[a] * ders[b] != ders[b] * ders[a]:
                 raise InternalError("shear image derivatives do not commute")
-    _shear_checked.add(key)
+    _shear_checked[key] = dx_img
+    return dx_img
 
 
 class TruncSeries:

@@ -49,6 +49,16 @@ MAX_EXPONENT = 1000
 # memory in proportion to n.
 MAX_NVARS = 100
 
+# Longest digit string read as a number, leading zeros included, checked
+# before int() or Fraction() sees it.  It is CPython's default limit, so all
+# supported interpreters (3.10.0-3.10.6 have none) give the same ParseError.
+MAX_DIGITS = 4300
+
+
+def check_digits(digits: str, line: int | None = None, column: int | None = None) -> None:
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"a number with more than {MAX_DIGITS} digits", line, column)
+
 
 def _tokenize(text: str, line: int):
     tokens = []
@@ -145,9 +155,9 @@ class _Parser:
             self.take()
             negative = True
         tok = self.expect("int")
-        if len(tok[1].lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+        digits = tok[1].lstrip("0")  # leading zeros change no exponent
+        if len(digits) > len(str(MAX_EXPONENT)) or (e := int(digits or 0)) > MAX_EXPONENT:
             self.fail(f"exponent larger than {MAX_EXPONENT}", tok[2])
-        e = int(tok[1])
         if not negative:
             return base**e
         c = self._scalar(base, col, "a negative exponent")
@@ -158,6 +168,7 @@ class _Parser:
     def atom(self) -> OreOperator:
         kind, text, col = self.take()
         if kind == "int":
+            check_digits(text, self.line, col)
             return OreOperator.from_coeff(RatFunc.const(self.nvars, Fraction(text)))
         if kind == "name":
             return self._name(text, col)
@@ -232,6 +243,7 @@ def parse_ideal_file(text: str) -> tuple[int, list[OreOperator]]:
                 raise ParseError("nvars directive must precede all operators", lineno, 1)
             if nvars is not None:
                 raise ParseError("duplicate nvars directive", lineno, 1)
+            check_digits(m.group(1), lineno, m.start(1) + 1)
             nvars = int(m.group(1))
             if not 1 <= nvars <= MAX_NVARS:
                 raise ParseError(f"nvars must be between 1 and {MAX_NVARS}", lineno, 1)

@@ -32,6 +32,15 @@ growth down and the whole computation deterministic; the results do not
 depend on the pivots, since coefficients in an independent family are
 unique.
 
+Shears are judged without a completion.  The shear by c (OreOperator.shear)
+is an automorphism phi of K[D] that maps K onto K, with phi^-1(Dx) = L =
+Dx + sum(ci*Dyi).  phi^-1 is K-semilinear, so sum a_k*Dx^k lies in phi(I)
+exactly when sum phi^-1(a_k)*L^k lies in I: [1], [Dx], ..., [Dx^(r-1)] are
+K-independent in K[D]/phi(I) exactly when [1], [L], ..., [L^(r-1)] are
+K-independent in K[D]/I.  So phi(I) is in normal position exactly when the
+walk of L from the class of 1, on the quotient I already has, reaches r.
+The ci are constants, so L.v = Dx.v + sum ci*Dyi.v.
+
 shape_basis certifies its answer with n + 1 reductions, not a second
 completion: see its docstring for why J = <shape generators> inside I
 already forces J = I.
@@ -173,12 +182,13 @@ class _Echelon:
         return None
 
 
-def _krylov_walk(act: QuotientAction, v0: list[RatFunc]):
-    """The Krylov walk v0, Dx.v0, Dx^2.v0, ... up to its first dependence.
+def _krylov_walk(act: QuotientAction, v0: list[RatFunc], c=()):
+    """The Krylov walk v0, L.v0, L^2.v0, ... of L = Dx + sum(ci*Dyi) (Dx
+    itself for an empty c) up to its first dependence.
 
-    Returns (lam, ech): Dx^s.v0 = sum lam[k] * Dx^k.v0 with s = len(lam)
+    Returns (lam, ech): L^s.v0 = sum lam[k] * L^k.v0 with s = len(lam)
     the first step whose vector lies in the span of the earlier ones, and
-    ech the echelon of v0..Dx^(s-1).v0.  s = 0 when v0 is zero, and s <= r.
+    ech the echelon of v0..L^(s-1).v0.  s = 0 when v0 is zero, and s <= r.
     """
     ech = _Echelon(RatFunc.zero(act.nvars), RatFunc.one(act.nvars), RatFunc.degree)
     v = v0
@@ -186,7 +196,11 @@ def _krylov_walk(act: QuotientAction, v0: list[RatFunc]):
         lam = ech.add(v)
         if lam is not None:
             return lam, ech
-        v = act.apply(0, v)
+        w = act.apply(0, v)
+        for i, ci in enumerate(c, start=1):
+            if ci:
+                w = [a + ci * b for a, b in zip(w, act.apply(i, v))]
+        v = w
 
 
 def _dx_poly(nvars: int, coeffs) -> OreOperator:
@@ -220,10 +234,15 @@ def eliminate_dx(gb: GroebnerBasis, method: str = "krylov") -> OreOperator:
     raise ValueError(f"unknown elimination method {method!r}")
 
 
-def in_normal_position(gb: GroebnerBasis) -> bool:
-    """True when the elimination operator has order r = dim of the quotient."""
+def in_normal_position(gb: GroebnerBasis, c=()) -> bool:
+    """True when the shear of the ideal by c (none for an empty c) is in
+    normal position: the walk of L = Dx + sum(ci*Dyi) from the class of 1
+    reaches r = dim of the quotient (see the module docstring)."""
     r = gb.dimension()
-    return eliminate_dx(gb, "krylov").order_in(0) == r
+    if r == 0:
+        return True
+    act = quotient_action(gb)
+    return len(_krylov_walk(act, act.unit(), c)[0]) == r
 
 
 @dataclass(frozen=True)
@@ -311,13 +330,13 @@ class ShearParams:
 
 def shear_ideal(gb: GroebnerBasis, c) -> GroebnerBasis:
     """Groebner basis of the ideal annihilating f(x, y + c*x) for solutions
-    f of the input: apply the inverse substitution to every generator and
-    recomplete under the same order.  For c = 0 that is the reduced basis
-    gb itself, since a reduced basis is unique, so gb is returned."""
+    f(x, y) of the input: shear every generator by c (OreOperator.shear) and
+    recomplete under the same order.  For c = 0 that is the reduced basis gb
+    itself, since a reduced basis is unique, so gb is returned."""
     c = tuple(Fraction(v) for v in c)
     if c == (0,) * gb.nvars:
         return gb
-    return groebner_basis([g.shear(c, "inverse") for g in gb.gens], gb.order)
+    return groebner_basis([g.shear(c) for g in gb.gens], gb.order)
 
 
 def normalize_by_shear(
@@ -331,21 +350,17 @@ def normalize_by_shear(
     Tries c = 0 first, then seeded uniform integer vectors with entries in
     [-coeff_range, coeff_range].  Every candidate counts against the budget;
     exhausting it raises NormalizationFailed, which is inconclusive (some
-    other c might work)."""
-    nvars = gb.nvars
+    other c might work).  Each candidate is judged by in_normal_position(gb,
+    c), so only the shear returned is completed, and none when c = 0 passes."""
     rng = random.Random(seed)
     tried = set()
     for attempt in range(max_attempts):
-        if attempt == 0:
-            c = (Fraction(0),) * nvars
-        else:
-            c = tuple(Fraction(rng.randint(-coeff_range, coeff_range)) for _ in range(nvars))
+        c = tuple(Fraction(rng.randint(-coeff_range, coeff_range) if attempt else 0) for _ in range(gb.nvars))
         if c in tried:
             continue
         tried.add(c)
-        sheared = shear_ideal(gb, c)
-        if in_normal_position(sheared):
-            return ShearParams(c), sheared
+        if in_normal_position(gb, c):
+            return ShearParams(c), shear_ideal(gb, c)
     raise NormalizationFailed(
         f"no sampled shear reached normal position in {max_attempts} attempts"
     )

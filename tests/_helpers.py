@@ -219,6 +219,26 @@ def rand_operator(rng, nvars, max_terms=3, max_ord=2, rat_coeffs=True, origin_sa
     return OreOperator(nvars, terms)
 
 
+def disguised_two_point_ideal(rng, nvars, rat_coeffs):
+    """Generators of the ideal of two points with distinct x-coordinates,
+    hidden by two random elementary steps g_t += q * g_s (q of order at most
+    one), which keep the left ideal the same."""
+    from oreshape.ore import OreOperator
+
+    ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
+    one = OreOperator.one(nvars)
+    a1, a2 = rng.sample(range(-3, 4), 2)
+    gens = [(ds[0] - a1 * one) * (ds[0] - a2 * one)]
+    for t in range(1, nvars + 1):
+        b, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        gens.append(ds[t] - b * one - (ds[0] - a1 * one).scale(Fraction(c - b, a2 - a1)))
+    for _ in range(2):
+        t, s = rng.sample(range(len(gens)), 2)
+        q = rand_operator(rng, nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
+        gens[t] = gens[t] + q * gens[s]
+    return gens
+
+
 def rand_series(rng, nvars, order=5, coeff_range=4):
     from oreshape.ore import TruncSeries
 
@@ -471,3 +491,40 @@ def poly_times_exp_series(nvars, order, poly_terms, rates):
         if total:
             coeffs[expo] = total
     return TruncSeries(nvars, order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# normal position of a shear, judged on the completed shear
+# ---------------------------------------------------------------------------
+
+
+def reference_in_normal_position(gb):
+    """The former shape.in_normal_position: the elimination operator of the
+    basis has order r = dim of the quotient."""
+    from oreshape.shape import eliminate_dx
+
+    return eliminate_dx(gb, "krylov").order_in(0) == gb.dimension()
+
+
+def reference_normalize_by_shear(gb, seed=0, max_attempts=20, coeff_range=5):
+    """The former shape.normalize_by_shear: the same candidates, each judged
+    by completing its shear and testing the completed basis."""
+    import random
+
+    from oreshape.errors import NormalizationFailed
+    from oreshape.shape import ShearParams, shear_ideal
+
+    rng = random.Random(seed)
+    tried = set()
+    for attempt in range(max_attempts):
+        if attempt == 0:
+            c = (Fraction(0),) * gb.nvars
+        else:
+            c = tuple(Fraction(rng.randint(-coeff_range, coeff_range)) for _ in range(gb.nvars))
+        if c in tried:
+            continue
+        tried.add(c)
+        sheared = shear_ideal(gb, c)
+        if reference_in_normal_position(sheared):
+            return ShearParams(c), sheared
+    raise NormalizationFailed(f"no sampled shear reached normal position in {max_attempts} attempts")

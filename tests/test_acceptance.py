@@ -214,10 +214,9 @@ def criterion_7():
         cvec = tuple(Fraction(rng.randint(-3, 3)) for _ in range(nvars))
         a = rand_operator(rng, nvars, max_terms=2, max_ord=2, rat_coeffs=rat)
         b = rand_operator(rng, nvars, max_terms=2, max_ord=1, rat_coeffs=not rat)
-        assert (a * b).shear(cvec, "forward") == a.shear(cvec, "forward") * b.shear(
-            cvec, "forward"
-        ), f"shear homomorphism sample {i}"
-        assert a.shear(cvec, "forward").shear(cvec, "inverse") == a, f"shear round trip {i}"
+        back = tuple(-ci for ci in cvec)
+        assert (a * b).shear(back) == a.shear(back) * b.shear(back), f"shear homomorphism sample {i}"
+        assert a.shear(back).shear(cvec) == a, f"shear round trip {i}"
     for name, gb in build_corpus():
         gens = gb.gens
         for i in range(len(gens)):

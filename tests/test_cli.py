@@ -19,7 +19,7 @@ from oreshape.arith import MultiPoly, RatFunc, format_monomial, join_sum, power_
 from oreshape.cli import main
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
-from oreshape.parsing import MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
+from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
 
 from _helpers import rand_operator
 
@@ -306,6 +306,30 @@ def test_nvars_above_the_cap_is_a_parse_error(capsys, monkeypatch):
     for n in (MAX_NVARS + 1, 1000000000):
         code, out, err = run(capsys, "parse", "-", stdin=f"# nvars {n}\nx*Dx + y1*Dy1\n", monkeypatch=monkeypatch)
         assert code == 2 and err.startswith("error: nvars must be between 1 and") and "Traceback" not in err
+
+
+def test_digit_strings_above_the_cap_are_parse_errors(capsys, monkeypatch, tmp_path):
+    # int() and Fraction() would raise a ValueError about an interpreter
+    # setting on these, on interpreters that have one
+    top = "9" * MAX_DIGITS
+    code, out, _ = run(capsys, "parse", "-", stdin=f"{top}*Dx\n", monkeypatch=monkeypatch)
+    assert (code, out) == (0, f"# nvars 1\n{top}*Dx\n")
+    # an exponent is read without its leading zeros
+    code, out, _ = run(capsys, "parse", "-", stdin="Dx^" + "0" * 5000 + "2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (0, "# nvars 1\nDx^2\n")
+    big = "9" * 5000
+    shear = ("shear", write(tmp_path, "Dx - Dy\nDy^2 - 1\n"), "--shear", big, "--json")
+    for argv, stdin, where in (
+        (("parse", "-", "--json"), f"# nvars {big}\nDx\n", " at line 1, column 9"),
+        (("parse", "-", "--json"), f"Dx\n{big}*Dx\n", " at line 2, column 1"),
+        (shear, None, ""),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert time.perf_counter() - start < 1, argv
+        error = json.loads(out)["error"]
+        assert code == 2 and "Traceback" not in err, argv
+        assert error == {"type": "ParseError", "message": f"a number with more than {MAX_DIGITS} digits{where}"}
 
 
 def test_runaway_gauge_then_solve_completes(capsys, monkeypatch):

@@ -10,7 +10,6 @@ for the completion.  Pair skipping is checked against plain Buchberger
 """
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +23,7 @@ from oreshape.parsing import parse_ideal_file
 from oreshape.shape import shape_basis
 
 from _helpers import (
+    disguised_two_point_ideal,
     rand_operator,
     rand_ratfunc,
     reference_groebner_basis,
@@ -376,24 +376,6 @@ def test_spairs_of_output_reduce_to_zero():
             assert g.leading(o.key)[1].is_one()
 
 
-def _disguised_two_point_ideal(rng, nvars, rat_coeffs):
-    """Generators of the ideal of two points with distinct x-coordinates,
-    hidden by two random elementary steps g_t += q * g_s (q of order at most
-    one), which keep the left ideal the same."""
-    ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
-    one = OreOperator.one(nvars)
-    a1, a2 = rng.sample(range(-3, 4), 2)
-    gens = [(ds[0] - a1 * one) * (ds[0] - a2 * one)]
-    for t in range(1, nvars + 1):
-        b, c = rng.randint(-3, 3), rng.randint(-3, 3)
-        gens.append(ds[t] - b * one - (ds[0] - a1 * one).scale(Fraction(c - b, a2 - a1)))
-    for _ in range(2):
-        t, s = rng.sample(range(len(gens)), 2)
-        q = rand_operator(rng, nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
-        gens[t] = gens[t] + q * gens[s]
-    return gens
-
-
 def test_chain_criterion_keeps_the_fixture_and_golden_bases():
     for nvars, gens in _fixture_and_golden_ideals():
         for kind in KINDS:
@@ -408,7 +390,7 @@ def test_chain_criterion_keeps_random_bases():
             for kind in KINDS:
                 o = TermOrder(kind, nvars)
                 for _ in range(2):
-                    gens = _disguised_two_point_ideal(rng, nvars, rat_coeffs)
+                    gens = disguised_two_point_ideal(rng, nvars, rat_coeffs)
                     G = groebner_basis(gens, o)
                     assert len(G) == nvars + 1
                     assert G == reference_groebner_basis(gens, o), (kind, gens)

@@ -433,21 +433,21 @@ def test_ratfunc_series_expansion():
 
 def test_shear_known_images():
     (dx, dy), (x, y), one = sym(1)
-    assert (dx - one).shear((1,), "inverse") == dx - dy - one
-    assert dy.shear((1,), "inverse") == dy
-    assert (dx - one).shear((1,), "forward") == dx + dy - one
-    assert y.shear((2,), "inverse") == y + 2 * x
+    assert (dx - one).shear((1,)) == dx - dy - one
+    assert dy.shear((1,)) == dy
+    assert (dx - one).shear((-1,)) == dx + dy - one
+    assert y.shear((2,)) == y + 2 * x
     # c = 0 is the identity
     L = (dx - one) * (dy * dy - dy)
-    assert L.shear((0,), "forward") == L
+    assert L.shear((0,)) == L
 
 
 def test_shear_moves_solutions():
-    # generators of the annihilator of exp(x), exp(x+y); their inverse-shear
-    # images must annihilate exp(x) and exp(2x+y)
+    # generators of the annihilator of exp(x), exp(x+y); their images under
+    # the shear by 1 must annihilate exp(x) and exp(2x+y)
     (dx, dy), _, one = sym(1)
     gens = [dx - one, dy * dy - dy]
-    sheared = [g.shear((1,), "inverse") for g in gens]
+    sheared = [g.shear((1,)) for g in gens]
     assert sheared[0] == dx - dy - one
     assert sheared[1] == dy * dy - dy
     for member in (exp_series(1, 8, (1, 0)), exp_series(1, 8, (2, 1))):
@@ -461,11 +461,11 @@ def test_shear_homomorphism_and_round_trip():
         a = rand_operator(rng, 2, max_terms=2, max_ord=1)
         b = rand_operator(rng, 2, max_terms=2, max_ord=1)
         c = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
-        direction = rng.choice(("forward", "inverse"))
-        assert (a * b).shear(c, direction) == a.shear(c, direction) * b.shear(c, direction)
-        assert (a + b).shear(c, direction) == a.shear(c, direction) + b.shear(c, direction)
-        other = "inverse" if direction == "forward" else "forward"
-        assert a.shear(c, direction).shear(c, other) == a
+        # a random sign, so that shears by c and by -c are both tested
+        c = tuple(rng.choice((-1, 1)) * ci for ci in c)
+        assert (a * b).shear(c) == a.shear(c) * b.shear(c)
+        assert (a + b).shear(c) == a.shear(c) + b.shear(c)
+        assert a.shear(c).shear(tuple(-ci for ci in c)) == a
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ for every operation below; truncated series solutions give a second one.
 
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from oreshape.errors import (
     NormalizationFailed,
     NotCyclic,
     NotNormalPosition,
+    NotZeroDimensional,
 )
 from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis
 from oreshape.ore import OreOperator
@@ -44,7 +46,12 @@ from oreshape.shape import (
     shear_ideal,
 )
 
-from _helpers import rand_ratfunc
+from _helpers import (
+    disguised_two_point_ideal,
+    rand_ratfunc,
+    reference_in_normal_position,
+    reference_normalize_by_shear,
+)
 
 
 def sym(nvars=1):
@@ -333,7 +340,7 @@ def _fixture_and_golden_bases():
 
 
 def _recompleted_shear(gb, c):
-    return groebner_basis([g.shear(c, "inverse") for g in gb.gens], gb.order)
+    return groebner_basis([g.shear(c) for g in gb.gens], gb.order)
 
 
 def test_identity_shear_is_the_basis_itself(monkeypatch):
@@ -344,8 +351,8 @@ def test_identity_shear_is_the_basis_itself(monkeypatch):
         assert gb == _recompleted_shear(gb, zero)
     with pytest.raises(ArityError):
         shear_ideal(fixture_gb("two_points"), (0, 0))
-    # normalize_by_shear finds the same shear and basis as when every
-    # candidate, c = 0 included, was recompleted
+    # normalize_by_shear finds the same shear and basis when the shear it
+    # returns, c = 0 included, is recompleted
     found = [normalize_by_shear(gb) for gb in _fixture_and_golden_bases()]
     monkeypatch.setattr(shape, "shear_ideal", _recompleted_shear)
     assert found == [normalize_by_shear(gb) for gb in _fixture_and_golden_bases()]
@@ -380,6 +387,90 @@ def test_normalize_budget_exhaustion():
     # with a single attempt only the zero shift is tried, and it fails here
     with pytest.raises(NormalizationFailed):
         normalize_by_shear(fixture_gb("exp_pair"), max_attempts=1)
+
+
+def _three_points():
+    """exp(x), exp(x + y) and exp(2x + y): the shear by c moves the x-rates
+    to 1, 1 + c and 2 + c, so c = 0 and c = -1 fail and 1, 2, -2 pass."""
+    (dx, dy), one = sym(1)
+    gens = [(dx - one) * (dx - 2 * one), dy * dy - dy, (dx - one) * (dy - one)]
+    return groebner_basis(gens, TermOrder.degrevlex(1))
+
+
+def _shear_pool():
+    """The fixture and golden bases, the three points, and disguised
+    two-point ideals with nvars 1 and 2, with and without rational
+    coefficients in the disguise."""
+    rng = random.Random(1313)
+    pool = _fixture_and_golden_bases() + [_three_points()]
+    for nvars, rat_coeffs in product((1, 2), (False, True)):
+        for _ in range(2):
+            pool.append(groebner_basis(disguised_two_point_ideal(rng, nvars, rat_coeffs), TermOrder.degrevlex(nvars)))
+    return pool
+
+
+def test_shear_walk_agrees_with_completing_the_shear():
+    # the walk of Dx + c*Dy on the quotient of I against the walk of Dx on
+    # the quotient of the completed shear, for every c in {-2..2}^nvars
+    verdicts = []
+    for gb in _shear_pool():
+        for c in product(range(-2, 3), repeat=gb.nvars):
+            c = tuple(map(Fraction, c))
+            verdict = in_normal_position(gb, c)
+            assert verdict is reference_in_normal_position(shear_ideal(gb, c)), (gb.gens, c)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_normalize_skips_rejected_shears():
+    gb = _three_points()
+    assert [in_normal_position(gb, (c,)) for c in range(-2, 3)] == [True, False, False, True, True]
+    # seed 4 draws -1, 0, -1, 1: c = 0 and -1 fail, the repeats of 0 and -1
+    # use up two attempts, and the fifth attempt passes with c = 1
+    params, out = normalize_by_shear(gb, seed=4, coeff_range=1)
+    assert params == ShearParams((Fraction(1),))
+    assert [str(g) for g in out.gens] == ["Dy^2 - Dy", "Dx*Dy - Dx - Dy + 1", "Dx^2 - 5*Dx + 2*Dy + 4"]
+    assert (params, out) == reference_normalize_by_shear(gb, seed=4, coeff_range=1)
+    assert normalize_by_shear(gb, seed=4, coeff_range=1, max_attempts=5) == (params, out)
+    with pytest.raises(NormalizationFailed):
+        normalize_by_shear(gb, seed=4, coeff_range=1, max_attempts=4)
+    for seed, coeff_range in product(range(4), (1, 2)):
+        expected = reference_normalize_by_shear(gb, seed=seed, coeff_range=coeff_range)
+        assert normalize_by_shear(gb, seed=seed, coeff_range=coeff_range) == expected
+
+
+def test_normalize_completes_only_the_shear_it_returns(monkeypatch):
+    completions = []
+    real = shape.groebner_basis
+
+    def spy(gens, order):
+        completions.append(gens)
+        return real(gens, order)
+
+    pool = _shear_pool()
+    expected = [reference_normalize_by_shear(gb) for gb in pool]
+    monkeypatch.setattr(shape, "groebner_basis", spy)
+    sheared = 0
+    for gb, want in zip(pool, expected):
+        completions.clear()
+        params, out = normalize_by_shear(gb)
+        assert (params, out) == want
+        sheared += any(params.c)
+        assert len(completions) == any(params.c), (gb.gens, params)
+    assert sheared >= 3  # exp_pair, nilpotent_y and the three points
+    # c = 0 and c = -1 are rejected before c = 1 passes
+    completions.clear()
+    assert normalize_by_shear(_three_points(), seed=4, coeff_range=1)[0] == ShearParams((Fraction(1),))
+    assert len(completions) == 1
+
+
+def test_normalize_unit_and_non_zero_dimensional_ideals():
+    gb = fixture_gb("unit")
+    assert normalize_by_shear(gb) == (ShearParams((Fraction(0),)), gb)
+    assert normalize_by_shear(gb)[1] is gb
+    (dx, dy), one = sym(1)
+    with pytest.raises(NotZeroDimensional):
+        normalize_by_shear(groebner_basis([dx - one], TermOrder.degrevlex(1)))
 
 
 # ---------------------------------------------------------------------------
