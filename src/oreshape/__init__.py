@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     PoleAtOrigin,
     PoleAtPoint,
+    ResourceLimit,
     TruncationTooSmall,
 )
 from .gb import GroebnerBasis, TermOrder, groebner_basis, left_reduce
@@ -110,6 +111,7 @@ __all__ = [
     "NotCyclic",
     "DegreeCapExceeded",
     "TruncationTooSmall",
+    "ResourceLimit",
     "NormalizationFailed",
     "CyclicVectorNotFound",
     "InternalError",

@@ -55,7 +55,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from operator import add, gt, mul, neg, sub
 
-from .errors import ArityError, DivisionByZero, PoleAtPoint
+from .errors import ArityError, DivisionByZero, PoleAtPoint, ResourceLimit
 
 Scalar = Fraction
 
@@ -835,11 +835,28 @@ def power_product(expo: tuple[int, ...], names: list[str]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for e, name in zip(expo, names) if e)
 
 
+# Longest digit string read or printed as a number: CPython's default limit
+# for int <-> str, so every supported interpreter (3.10.0-3.10.6 have none)
+# stops at the same length.  The parser checks digit strings before int() or
+# Fraction() sees them; format_number checks numbers before str() does.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
+
+
+def format_number(c: Fraction) -> str:
+    """str(c); ResourceLimit if its numerator or denominator has more than
+    MAX_DIGITS digits."""
+    if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+        raise ResourceLimit(f"cannot print a number with more than {MAX_DIGITS} digits")
+    return str(c)
+
+
 def format_monomial(expo: tuple[int, ...], coeff, names: list[str]) -> str:
-    """coeff*body, with coeff printed by str(); a coefficient that prints as
-    1 or -1 prints only its sign."""
+    """coeff*body, with a number coeff printed by format_number and a string
+    taken as printed; a coefficient that prints as 1 or -1 prints only its
+    sign."""
     body = power_product(expo, names)
-    c = str(coeff)
+    c = coeff if isinstance(coeff, str) else format_number(coeff)
     if not body:
         return c
     if c == "1":

@@ -13,7 +13,8 @@ Exit codes:
     3  precondition failures: infinite-dimensional quotient, not in normal
        position, pole at the requested point, origin not ordinary, division
        by zero, non-cyclic class
-    4  resource limits: degree cap, truncation order too small
+    4  resource limits: degree cap, truncation order too small, a printed
+       number above MAX_DIGITS digits
     5  searches that exhausted their budget without an answer
 """
 
@@ -28,7 +29,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import format_poly
+from .arith import format_number, format_poly
 from .errors import (
     ArityError,
     CyclicVectorNotFound,
@@ -43,6 +44,7 @@ from .errors import (
     OreShapeError,
     ParseError,
     PoleAtPoint,
+    ResourceLimit,
     TruncationTooSmall,
 )
 from .gb import GroebnerBasis, TermOrder, groebner_basis
@@ -78,6 +80,7 @@ _EXIT_CODES = (
     (DivisionByZero, 3),
     (DegreeCapExceeded, 4),
     (TruncationTooSmall, 4),
+    (ResourceLimit, 4),
     (NormalizationFailed, 5),
     (CyclicVectorNotFound, 5),
 )
@@ -163,7 +166,7 @@ def _parse_shear_vector(text: str, nvars: int) -> tuple[Fraction, ...]:
 
 def _series_json(f: TruncSeries) -> dict:
     terms = [
-        {"exponents": list(expo), "coefficient": str(c)}
+        {"exponents": list(expo), "coefficient": format_number(c)}
         for expo, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     ]
     return {"order": f.order, "terms": terms}
@@ -278,7 +281,7 @@ def cmd_check_dradical(args, inp: _Input):
 
 
 def _shear_result(inp: _Input, c, gb: GroebnerBasis) -> tuple[dict, list]:
-    result = {"shear": [str(ci) for ci in c], "basis": [format_operator(g) for g in gb.gens]}
+    result = {"shear": [format_number(ci) for ci in c], "basis": [format_operator(g) for g in gb.gens]}
     return result, _ideal_file_lines(inp.nvars, gb.gens)
 
 

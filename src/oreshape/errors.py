@@ -62,6 +62,11 @@ class DegreeCapExceeded(OreShapeError):
     cap; raised instead of looping on pathological input."""
 
 
+class ResourceLimit(OreShapeError):
+    """A result is too large to hand out: a printed number would have more
+    than arith.MAX_DIGITS digits in its numerator or denominator."""
+
+
 class TruncationTooSmall(OreShapeError):
     """A series computation cannot guarantee even one correct coefficient at
     the requested truncation order."""

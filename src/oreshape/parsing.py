@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .arith import RatFunc
+from .arith import MAX_DIGITS, RatFunc
 from .errors import ArityError, DivisionByZero, ParseError
 from .ore import OreOperator
 
@@ -49,13 +49,10 @@ MAX_EXPONENT = 1000
 # memory in proportion to n.
 MAX_NVARS = 100
 
-# Longest digit string read as a number, leading zeros included, checked
-# before int() or Fraction() sees it.  It is CPython's default limit, so all
-# supported interpreters (3.10.0-3.10.6 have none) give the same ParseError.
-MAX_DIGITS = 4300
-
 
 def check_digits(digits: str, line: int | None = None, column: int | None = None) -> None:
+    """ParseError for a digit string, leading zeros included, longer than
+    MAX_DIGITS."""
     if len(digits) > MAX_DIGITS:
         raise ParseError(f"a number with more than {MAX_DIGITS} digits", line, column)
 

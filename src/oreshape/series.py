@@ -6,12 +6,12 @@ read off the quotient coordinates: for the member attached to the k-th
 standard monomial, the coefficient on the monomial x^a y^b... with exponent
 tuple m is
 
-    evaluate(coords(NF(D^m))[k] at 0) / m!
+    const(num) / const(den) / m!   for coords(NF(D^m))[k] = num/den,
 
-The coordinates are generated by the recurrence coords(m + e_t) =
-d/dt coords(m) + A_t coords(m), one derivative step per monomial, walking
-monomials in graded order so each predecessor is already known.  A pole at
-the origin in any needed coordinate means the origin is not ordinary.
+its value at 0 as constant term over constant term, with coords(m + e_t) =
+d/dt coords(m) + A_t coords(m) walked in graded order.  A den with no constant
+term means the origin is not ordinary.  It is read before num: the reduced
+x^2/(x + y)^2 also has num constant 0, but has no value at 0.
 
 The Wronskian in x is computed by cofactor expansion: the ring of truncated
 series has zero divisors, so elimination with division is not available.
@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .arith import MultiPoly, grevlex_key
-from .errors import NonOrdinaryOrigin, PoleAtPoint, TruncationTooSmall
+from .errors import NonOrdinaryOrigin, TruncationTooSmall
 from .gb import GroebnerBasis
 from .ore import TruncSeries
 from .shape import _Echelon, quotient_action
@@ -98,7 +98,7 @@ class _Expansion:
         nvars = act.nvars
         if r == 0:
             return SolutionBasis(nvars, 0, order, (), ())
-        origin = (Fraction(0),) * (nvars + 1)
+        zero = (0,) * (nvars + 1)
         for d in range(self.reached, order):
             layer = {}
             for m in _graded_monomials(nvars + 1, d + 1, d):
@@ -114,14 +114,14 @@ class _Expansion:
                 for e in m:
                     fact *= factorial(e)
                 for k in range(r):
-                    try:
-                        val = cm[k].evaluate(origin)
-                    except PoleAtPoint:
+                    den0 = cm[k].den.terms.get(zero)
+                    if den0 is None:
                         raise NonOrdinaryOrigin(
                             f"quotient coordinate for derivative monomial {m} has a pole at 0"
-                        ) from None
-                    if val:
-                        self.coeff_dicts[k][m] = val / fact
+                        )
+                    num0 = cm[k].num.terms.get(zero)
+                    if num0:
+                        self.coeff_dicts[k][m] = num0 / den0 / fact
             self.layer = layer
         self.reached = max(self.reached, order)
         members = tuple(TruncSeries(nvars, order, d) for d in self.coeff_dicts)

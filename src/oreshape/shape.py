@@ -382,7 +382,7 @@ def cyclic_vector(
     r = act.r
     nvars = gb.nvars
     if r == 0:
-        raise ValueError("the quotient is trivial; no cyclic vector exists")
+        raise NotCyclic("the quotient is trivial; no cyclic vector exists")
 
     def candidates():
         for dm in act.basis:
@@ -425,9 +425,9 @@ def gauge_transform(gb: GroebnerBasis, M: OreOperator) -> ShapeBasis:
     The class of M must be cyclic for the Dx-action on the quotient; its
     Krylov family then carries both the monic minimal operator P' and the
     coefficients Q' expressing each Dyi-image.  Raises NotCyclic when the
-    family becomes dependent before step r."""
+    quotient is trivial or the family becomes dependent before step r."""
     r = gb.dimension()
     if r == 0:
-        raise ValueError("the quotient is trivial; nothing to transform")
+        raise NotCyclic("the quotient is trivial; nothing to transform")
     act = quotient_action(gb)
     return _shape_from_krylov(act, act.coords(M))

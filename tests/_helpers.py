@@ -528,3 +528,48 @@ def reference_normalize_by_shear(gb, seed=0, max_attempts=20, coeff_range=5):
         if reference_in_normal_position(sheared):
             return ShearParams(c), sheared
     raise NormalizationFailed(f"no sampled shear reached normal position in {max_attempts} attempts")
+
+
+# ---------------------------------------------------------------------------
+# the series walk that evaluated each quotient coordinate at the origin
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_series(gb, order):
+    """The former series.solve_series: the same walk of quotient coordinates,
+    with each coordinate's value at 0 taken by RatFunc.evaluate, so a pole
+    is a denominator that evaluates to 0 there."""
+    from oreshape.errors import NonOrdinaryOrigin, PoleAtPoint
+    from oreshape.ore import TruncSeries
+    from oreshape.series import SolutionBasis, _graded_monomials
+    from oreshape.shape import quotient_action
+
+    act = quotient_action(gb)
+    r, nvars = act.r, act.nvars
+    if r == 0:
+        return SolutionBasis(nvars, 0, order, (), ())
+    origin = (Fraction(0),) * (nvars + 1)
+    coords = {}
+    coeff_dicts = [{} for _ in range(r)]
+    for m in _graded_monomials(nvars + 1, order):
+        if any(m):
+            t = next(i for i, e in enumerate(m) if e)
+            prev = list(m)
+            prev[t] -= 1
+            coords[m] = act.apply(t, coords[tuple(prev)])
+        else:
+            coords[m] = act.unit()
+        fact = 1
+        for e in m:
+            fact *= factorial(e)
+        for k in range(r):
+            try:
+                val = coords[m][k].evaluate(origin)
+            except PoleAtPoint:
+                raise NonOrdinaryOrigin(
+                    f"quotient coordinate for derivative monomial {m} has a pole at 0"
+                ) from None
+            if val:
+                coeff_dicts[k][m] = val / fact
+    members = tuple(TruncSeries(nvars, order, d) for d in coeff_dicts)
+    return SolutionBasis(nvars, r, order, tuple(act.basis), members)

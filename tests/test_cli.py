@@ -257,6 +257,8 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("solve", "-", "--trunc", "-1"), TWO_POINTS, 2),
         (("wronskian", "-", "--trunc", "-3"), TWO_POINTS, 2),
         (("apply", "-", "--trunc", "0"), "Dx\n" + TWO_POINTS, 2),
+        (("gauge", "-"), "1\n", 3),
+        (("gauge", "-", "--cyclic-vector", "1"), "1\n", 3),
     ],
 )
 def test_exit_codes(capsys, monkeypatch, argv, stdin, code):
@@ -330,6 +332,25 @@ def test_digit_strings_above_the_cap_are_parse_errors(capsys, monkeypatch, tmp_p
         error = json.loads(out)["error"]
         assert code == 2 and "Traceback" not in err, argv
         assert error == {"type": "ParseError", "message": f"a number with more than {MAX_DIGITS} digits{where}"}
+
+
+def test_printed_numbers_above_the_cap_are_resource_limits(capsys, monkeypatch):
+    # 99999^1000 has 5,000 digits and 10^4300 has 4,301: str() would raise a
+    # ValueError about an interpreter setting on interpreters that have one
+    limit = {"type": "ResourceLimit", "message": f"cannot print a number with more than {MAX_DIGITS} digits"}
+    for argv, text in (
+        (("parse", "-", "--json"), "(99999)^1000*Dx\n"),
+        (("parse", "-", "--json"), "(10^1000)^4*10^300*Dx\n"),
+        (("parse", "-", "--json"), "1/99999^1000*Dx\n"),
+        (("solve", "-", "--json", "--trunc", "2"), "Dx - 99999^1000\nDy\n"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        assert time.perf_counter() - start < 5, text
+        assert code == 4 and "Traceback" not in err, text
+        assert json.loads(out)["error"] == limit, text
+    code, out, _ = run(capsys, "parse", "-", stdin="((10^1000)^4*10^300 - 1)*Dx\n", monkeypatch=monkeypatch)
+    assert (code, out) == (0, f"# nvars 1\n{'9' * MAX_DIGITS}*Dx\n")
 
 
 def test_runaway_gauge_then_solve_completes(capsys, monkeypatch):

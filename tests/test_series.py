@@ -34,9 +34,22 @@ from oreshape.series import (
     solve_series,
     wronskian_x,
 )
-from oreshape.shape import QuotientAction, in_normal_position, quotient_action, shear_ideal
+from oreshape.shape import (
+    QuotientAction,
+    cyclic_vector,
+    gauge_transform,
+    in_normal_position,
+    quotient_action,
+    shear_ideal,
+)
 
-from _helpers import exp_series, monomials_below, poly_times_exp_series, reference_kernel_basis
+from _helpers import (
+    exp_series,
+    monomials_below,
+    poly_times_exp_series,
+    reference_kernel_basis,
+    reference_solve_series,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -57,6 +70,14 @@ def fixture_gb(name):
         "unit": [dx - one, dx - 2 * one],
     }[name]
     return groebner_basis(gens, order)
+
+
+def golden_gbs():
+    gbs = []
+    for path in sorted(GOLDEN.glob("*.ideal")):
+        nvars, ops = parse_ideal_file(path.read_text())
+        gbs.append(groebner_basis(ops, TermOrder.degrevlex(nvars)))
+    return gbs
 
 
 def combo_coefficient(polys, members, expo):
@@ -159,9 +180,7 @@ def test_kernel_basis_matches_reference_on_dradical_systems(monkeypatch):
 
     monkeypatch.setattr(series, "_kernel_basis", recording)
     ideals = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
-    for path in sorted(GOLDEN.glob("*.ideal")):
-        nvars, ops = parse_ideal_file(path.read_text())
-        ideals.append(groebner_basis(ops, TermOrder.degrevlex(nvars)))
+    ideals += golden_gbs()
     for gb in ideals:
         for degree_bound, order in ((1, 5), (2, 6)):
             d_radical_check(gb, degree_bound=degree_bound, order=order)
@@ -258,6 +277,72 @@ def test_non_ordinary_origin_is_detected():
     gb = groebner_basis([x * dx - one, dy], TermOrder.degrevlex(1))
     with pytest.raises(NonOrdinaryOrigin):
         solve_series(gb, order=5)
+
+
+def _solve_outcome(solve, gb, order):
+    """The solution basis, or the message of the NonOrdinaryOrigin raised."""
+    try:
+        return solve(gb, order)
+    except NonOrdinaryOrigin as exc:
+        return str(exc)
+
+
+def _assert_solve_matches_reference(gb, orders):
+    for order in orders:
+        assert _solve_outcome(solve_series, gb, order) == _solve_outcome(reference_solve_series, gb, order)
+
+
+def test_solve_series_matches_reference_on_fixtures_and_golden_ideals():
+    pool = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y", "unit")]
+    for gb in pool + golden_gbs():
+        _assert_solve_matches_reference(gb, range(3, 13))
+
+
+def test_solve_series_matches_reference_on_conjugated_ideals():
+    # (x + c)*g*(1/(x + c)) annihilates (x + c)*f whenever g annihilates f;
+    # its quotient coordinates carry powers of x + c in their denominators
+    rng = random.Random(1409)
+    pool = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
+    pool += [gb for gb in golden_gbs() if gb.nvars == 2]
+    denominators = 0
+    for gb in pool:
+        for _ in range(2):
+            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+            xc = RatFunc.var(gb.nvars, 0) + RatFunc.const(gb.nvars, c)
+            left, right = OreOperator.from_coeff(xc), OreOperator.from_coeff(1 / xc)
+            conj = groebner_basis([left * g * right for g in gb.gens], gb.order)
+            act = quotient_action(conj)
+            denominators += sum(not v.den.is_one() for t in range(gb.nvars + 1) for v in act.apply(t, act.unit()))
+            _assert_solve_matches_reference(conj, range(3, 9))
+    assert denominators > 0
+
+
+def test_solve_series_matches_reference_on_gauge_outputs():
+    (dx, dy), one = sym(1)
+    x = OreOperator.from_coeff(RatFunc.var(1, 0))
+    y = OreOperator.from_coeff(RatFunc.var(1, 1))
+    cases = [(gb, cyclic_vector(gb)) for gb in golden_gbs()]
+    cases.append((fixture_gb("exp_pair"), (x + one) * dx + y * dy + one))
+    cases.append((fixture_gb("two_points"), x * dx + one))
+    denominators = 0
+    for gb, m in cases:
+        gauged = groebner_basis(gauge_transform(gb, m).generators(), gb.order)
+        denominators += sum(not c.den.is_one() for g in gauged.gens for c in g.terms.values())
+        _assert_solve_matches_reference(gauged, range(3, 9))
+    assert denominators > 0
+
+
+def test_coordinate_with_no_value_at_origin_is_a_pole():
+    # The annihilator of exp(x^2/(x + y)).  NF(Dy) = -x^2/(x + y)^2 has no
+    # value at 0, though its numerator has no constant term either; read
+    # numerator first, it would pass as 0 and the series as 1.
+    text = "Dx - (x^2 + 2*x*y)/(x + y)^2\nDy + x^2/(x + y)^2\n"
+    nvars, ops = parse_ideal_file(text)
+    gb = groebner_basis(ops, TermOrder.degrevlex(nvars))
+    assert gb.dimension() == 1
+    for solve in (solve_series, reference_solve_series):
+        with pytest.raises(NonOrdinaryOrigin, match=r"monomial \(0, 1\) has a pole"):
+            solve(gb, 3)
 
 
 def test_order_must_be_positive():

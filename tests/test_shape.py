@@ -499,8 +499,10 @@ def test_cyclic_vector_budget_exhaustion():
 
 
 def test_cyclic_vector_rejects_trivial_quotient():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotCyclic):
         cyclic_vector(fixture_gb("unit"))
+    with pytest.raises(NotCyclic):
+        gauge_transform(fixture_gb("unit"), OreOperator.one(1))
 
 
 def test_gauge_transform_known_values():
