@@ -50,7 +50,6 @@ from .series import (
 from .shape import (
     QuotientAction,
     ShapeBasis,
-    ShearParams,
     cyclic_vector,
     eliminate_dx,
     gauge_transform,
@@ -84,7 +83,6 @@ __all__ = [
     "in_normal_position",
     "ShapeBasis",
     "shape_basis",
-    "ShearParams",
     "shear_ideal",
     "normalize_by_shear",
     "cyclic_vector",

@@ -57,8 +57,6 @@ from operator import add, gt, mul, neg, sub
 
 from .errors import ArityError, DivisionByZero, PoleAtPoint, ResourceLimit
 
-Scalar = Fraction
-
 
 def grevlex_key(expo: tuple[int, ...]) -> tuple[int, ...]:
     """Sort key giving graded reverse lexicographic order, x > y1 > ... > yn.
@@ -126,13 +124,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     def is_one(self) -> bool:
         t = self.terms
         return len(t) == 1 and t.get((0,) * (self.nvars + 1)) == 1
@@ -142,11 +133,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[index] for e in self.terms)
 
     def lead(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) under grevlex; poly must be nonzero."""
@@ -253,7 +239,8 @@ class MultiPoly:
         return MultiPoly._make(self.nvars, out)
 
     def evaluate(self, point) -> Fraction:
-        """Value at a point given as nvars + 1 Fractions (x first)."""
+        """Value at a point given as nvars + 1 Fractions (x first).  The
+        package never evaluates; this is the tests' point-evaluation oracle."""
         if len(point) != self.nvars + 1:
             raise ArityError(f"point has {len(point)} coordinates, need {self.nvars + 1}")
         pt = [Fraction(p) for p in point]
@@ -655,14 +642,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
 
-    def constant_value(self) -> Fraction:
-        if not self.den.is_one():
-            raise ValueError("not a constant")
-        return self.num.constant_value()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def degree(self) -> int:
         """max(deg num, deg den); used as a size measure for pivot choice."""
         return max(self.num.total_degree(), self.den.total_degree())
@@ -764,6 +743,8 @@ class RatFunc:
         return RatFunc(n.derivative(index) * d - n * d.derivative(index), d * d)
 
     def evaluate(self, point) -> Fraction:
+        """Value at a point; PoleAtPoint where the denominator vanishes.  Kept
+        as the tests' oracle, whose reference series walk needs that error."""
         dv = self.den.evaluate(point)
         if dv == 0:
             raise PoleAtPoint(f"denominator vanishes at {tuple(point)}")

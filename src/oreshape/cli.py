@@ -6,13 +6,14 @@ Text output is stable and, for operator listings, itself a valid ideal
 file.  With --json a single JSON object is printed instead, under schema
 "ore-shape/1".
 
-Exit codes:
+Exit codes, each carried by its error class in errors as exit_code:
     0  success
     1  internal self-check failed (a bug)
     2  malformed input: parse errors, arity errors, bad flags or file shape
     3  precondition failures: infinite-dimensional quotient, not in normal
-       position, pole at the requested point, origin not ordinary, division
-       by zero, non-cyclic class
+       position, origin not ordinary, an applied operator with a
+       coefficient that has a pole at the origin, division by zero,
+       non-cyclic class
     4  resource limits: degree cap, truncation order too small, a printed
        number above MAX_DIGITS digits
     5  searches that exhausted their budget without an answer
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -30,23 +32,7 @@ import time
 from fractions import Fraction
 
 from .arith import format_number, format_poly
-from .errors import (
-    ArityError,
-    CyclicVectorNotFound,
-    DegreeCapExceeded,
-    DivisionByZero,
-    InternalError,
-    NonOrdinaryOrigin,
-    NormalizationFailed,
-    NotCyclic,
-    NotNormalPosition,
-    NotZeroDimensional,
-    OreShapeError,
-    ParseError,
-    PoleAtPoint,
-    ResourceLimit,
-    TruncationTooSmall,
-)
+from .errors import ArityError, NotZeroDimensional, OreShapeError, ParseError
 from .gb import GroebnerBasis, TermOrder, groebner_basis
 from .ore import TruncSeries, format_operator, format_series
 from .parsing import check_digits, parse_ideal_file, parse_operator
@@ -68,29 +54,11 @@ from .shape import (
 
 SCHEMA = "ore-shape/1"
 
-_EXIT_CODES = (
-    (InternalError, 1),
-    (ParseError, 2),
-    (ArityError, 2),
-    (NotZeroDimensional, 3),
-    (NotNormalPosition, 3),
-    (NotCyclic, 3),
-    (NonOrdinaryOrigin, 3),
-    (PoleAtPoint, 3),
-    (DivisionByZero, 3),
-    (DegreeCapExceeded, 4),
-    (TruncationTooSmall, 4),
-    (ResourceLimit, 4),
-    (NormalizationFailed, 5),
-    (CyclicVectorNotFound, 5),
-)
-
 
 def _exit_code(exc: Exception) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 2 if isinstance(exc, ValueError) else 1
+    if isinstance(exc, OreShapeError):
+        return exc.exit_code
+    return 2 if isinstance(exc, (ValueError, OSError)) else 1
 
 
 class _Input:
@@ -100,7 +68,6 @@ class _Input:
     ideal with Dx and Dyk exchanged and swap their results back."""
 
     def __init__(self, raw: str, main_var: str | None = None):
-        self.raw = raw
         self.digest = hashlib.sha256(raw.encode()).hexdigest()
         self.nvars, self.operators = parse_ideal_file(raw)
         self.swap = _main_var_index(main_var, self.nvars)
@@ -173,16 +140,17 @@ def _series_json(f: TruncSeries) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (result_dict, text_lines)
+# command handlers: each returns (result_dict, text_lines).  The lines reuse
+# the strings in result; series lines are an iterator main reads in text mode.
 
 
-def _ideal_file_lines(nvars: int, ops) -> list[str]:
-    return [f"# nvars {nvars}"] + [format_operator(g) for g in ops]
+def _ideal_file_lines(nvars: int, texts: list[str]) -> list[str]:
+    return [f"# nvars {nvars}", *texts]
 
 
 def cmd_parse(args, inp: _Input):
-    result = {"operators": [format_operator(g) for g in inp.operators]}
-    return result, _ideal_file_lines(inp.nvars, inp.operators)
+    ops = [format_operator(g) for g in inp.operators]
+    return {"operators": ops}, _ideal_file_lines(inp.nvars, ops)
 
 
 def cmd_mul(args, inp: _Input):
@@ -191,7 +159,8 @@ def cmd_mul(args, inp: _Input):
     acc = inp.operators[-1]
     for g in reversed(inp.operators[:-1]):
         acc = g * acc
-    return {"product": format_operator(acc)}, [format_operator(acc)]
+    product = format_operator(acc)
+    return {"product": product}, [product]
 
 
 def cmd_apply(args, inp: _Input):
@@ -206,14 +175,13 @@ def cmd_apply(args, inp: _Input):
         "applied": format_operator(op),
         "images": [_series_json(f) for f in images],
     }
-    lines = [format_series(f) for f in images]
-    return result, lines
+    return result, map(format_series, images)
 
 
 def cmd_gb(args, inp: _Input):
     gb = inp.ideal(TermOrder(args.order, inp.nvars))
-    result = {"order": args.order, "basis": [format_operator(g) for g in gb.gens]}
-    return result, _ideal_file_lines(inp.nvars, gb.gens)
+    basis = [format_operator(g) for g in gb.gens]
+    return {"order": args.order, "basis": basis}, _ideal_file_lines(inp.nvars, basis)
 
 
 def cmd_dim(args, inp: _Input):
@@ -225,26 +193,24 @@ def cmd_dim(args, inp: _Input):
 
 
 def cmd_eliminate(args, inp: _Input):
-    p = inp.swapped(eliminate_dx(inp.ideal(), method=args.method))
-    return {"eliminant": format_operator(p), "method": args.method}, [format_operator(p)]
+    p = format_operator(inp.swapped(eliminate_dx(inp.ideal(), method=args.method)))
+    return {"eliminant": p, "method": args.method}, [p]
 
 
-def _shape_result(inp: _Input, sb) -> tuple[dict, list]:
+def _shape_result(inp: _Input, sb) -> dict:
     """The dimension/P/Q/generators payload of a shape basis, in the input's
-    variables, and its generators."""
-    gens = [inp.swapped(g) for g in sb.generators()]
-    result = {
+    variables."""
+    return {
         "dimension": sb.r,
         "P": format_operator(inp.swapped(sb.P())),
         "Q": [format_operator(inp.swapped(sb.Q(i))) for i in range(1, inp.nvars + 1)],
-        "generators": [format_operator(g) for g in gens],
+        "generators": [format_operator(inp.swapped(g)) for g in sb.generators()],
     }
-    return result, gens
 
 
 def cmd_shape(args, inp: _Input):
-    result, gens = _shape_result(inp, shape_basis(inp.ideal()))
-    return result, _ideal_file_lines(inp.nvars, gens)
+    result = _shape_result(inp, shape_basis(inp.ideal()))
+    return result, _ideal_file_lines(inp.nvars, result["generators"])
 
 
 def cmd_check_normal(args, inp: _Input):
@@ -275,14 +241,13 @@ def cmd_check_dradical(args, inp: _Input):
         else [format_poly(p) for p in verdict.witness],
     }
     lines = [f"verdict: {verdict.tag}"]
-    if verdict.witness is not None:
-        lines += [f"witness[{i}]: {format_poly(p)}" for i, p in enumerate(verdict.witness)]
+    lines += [f"witness[{i}]: {p}" for i, p in enumerate(result["witness"] or ())]
     return result, lines
 
 
 def _shear_result(inp: _Input, c, gb: GroebnerBasis) -> tuple[dict, list]:
     result = {"shear": [format_number(ci) for ci in c], "basis": [format_operator(g) for g in gb.gens]}
-    return result, _ideal_file_lines(inp.nvars, gb.gens)
+    return result, _ideal_file_lines(inp.nvars, result["basis"])
 
 
 def cmd_shear(args, inp: _Input):
@@ -291,10 +256,10 @@ def cmd_shear(args, inp: _Input):
 
 
 def cmd_normalize(args, inp: _Input):
-    params, sheared = normalize_by_shear(
+    c, sheared = normalize_by_shear(
         inp.ideal(), seed=args.seed, max_attempts=args.max_attempts, coeff_range=args.coeff_range
     )
-    result, lines = _shear_result(inp, params.c, sheared)
+    result, lines = _shear_result(inp, c, sheared)
     return result, ["shear: " + ",".join(result["shear"])] + lines
 
 
@@ -306,9 +271,7 @@ def cmd_solve(args, inp: _Input):
         "initial_monomials": [list(m) for m in sol.initial_monomials],
         "members": [_series_json(f) for f in sol.members],
     }
-    lines = [f"dimension: {sol.r}"]
-    lines += [format_series(f) for f in sol.members]
-    return result, lines
+    return result, itertools.chain([f"dimension: {sol.r}"], map(format_series, sol.members))
 
 
 def cmd_wronskian(args, inp: _Input):
@@ -316,7 +279,7 @@ def cmd_wronskian(args, inp: _Input):
     if sol.r == 0:
         raise NotZeroDimensional("the unit ideal has no solutions to take a Wronskian of")
     w = inp.swapped(wronskian_x(sol.members))
-    return {"dimension": sol.r, "wronskian": _series_json(w)}, [format_series(w)]
+    return {"dimension": sol.r, "wronskian": _series_json(w)}, map(format_series, [w])
 
 
 def cmd_gauge(args, inp: _Input):
@@ -327,10 +290,9 @@ def cmd_gauge(args, inp: _Input):
         m = cyclic_vector(
             gb, seed=args.seed, degree_bound=args.degree_bound, max_attempts=args.max_attempts
         )
-    shape, gens = _shape_result(inp, gauge_transform(gb, m))
     m_out = format_operator(inp.swapped(m))
-    result = {"cyclic_vector": m_out, **shape}
-    return result, [f"cyclic vector: {m_out}", *_ideal_file_lines(inp.nvars, gens)]
+    result = {"cyclic_vector": m_out, **_shape_result(inp, gauge_transform(gb, m))}
+    return result, [f"cyclic vector: {m_out}", *_ideal_file_lines(inp.nvars, result["generators"])]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, main_var=False, trunc=None, search=False):
+    def add(name, func, help_, main_var=False, trunc=None, attempts=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="ideal file path, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit a JSON object")
@@ -367,11 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="N",
                 help=f"guaranteed series order (default {trunc})",
             )
-        if search:
+        if attempts is not None:
             p.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
-            p.add_argument(
-                "--max-attempts", type=int, default=None, help="candidate budget"
-            )
+            p.add_argument("--max-attempts", type=int, default=attempts, help=f"candidate budget (default {attempts})")
         p.set_defaults(func=func)
         return p
 
@@ -416,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="C1,..,CN",
         help="shear coefficients, one rational per y-variable: an integer, a/b or a decimal",
     )
-    pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position", search=True)
+    pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position", attempts=20)
     pno.add_argument(
         "--coeff-range",
         type=int,
@@ -426,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add("solve", cmd_solve, "truncated series basis of the solution space", trunc=8)
     add("wronskian", cmd_wronskian, "Wronskian of the solution basis in the main variable", main_var=True, trunc=8)
-    pga = add("gauge", cmd_gauge, "shape basis of the gauge transform by a cyclic vector", main_var=True, search=True)
+    pga = add("gauge", cmd_gauge, "shape basis of the gauge transform by a cyclic vector", main_var=True, attempts=200)
     pga.add_argument(
         "--cyclic-vector",
         metavar="EXPR",
@@ -444,17 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args):
-    """Fill in the default search budget and reject out-of-range numbers."""
-    if getattr(args, "max_attempts", None) is None:
-        args.max_attempts = 200 if args.command == "gauge" else 20
-    elif args.max_attempts < 1:
-        raise ValueError(f"--max-attempts must be at least 1, got {args.max_attempts}")
-    for flag in ("degree_bound", "coeff_range"):
-        value = getattr(args, flag, 0)
-        if value < 0:
-            raise ValueError(f"--{flag.replace('_', '-')} must be at least 0, got {value}")
-    if getattr(args, "trunc", 1) < 1:
-        raise ValueError(f"--trunc must be at least 1, got {args.trunc}")
+    """Reject out-of-range numbers."""
+    for flag, least in (("max_attempts", 1), ("degree_bound", 0), ("coeff_range", 0), ("trunc", 1)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -464,8 +418,10 @@ def main(argv=None) -> int:
         _check_flags(args)
         inp = _read_input(args)
         result, lines = args.func(args, inp)
+        if not args.json:
+            lines = list(lines)
     except (OreShapeError, ValueError, OSError) as exc:
-        code = 2 if isinstance(exc, OSError) else _exit_code(exc)
+        code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)
         if getattr(args, "json", False):
             payload = {

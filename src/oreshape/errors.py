@@ -1,16 +1,19 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle gets its own class so
-the CLI can map it to a stable exit code. All inherit from OreShapeError.
+Every failure mode that callers are expected to handle gets its own class,
+and each class carries its stable CLI exit code as the class attribute
+exit_code. All inherit from OreShapeError.
 """
 
 
 class OreShapeError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
 
 
 class ParseError(OreShapeError):
     """Malformed operator text or ideal file."""
+    exit_code = 2
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -25,14 +28,17 @@ class ArityError(OreShapeError):
     """A symbol refers to a parameter index outside 1..nvars, or operator
 
     arities are mixed within one computation."""
+    exit_code = 2
 
 
 class DivisionByZero(OreShapeError, ZeroDivisionError):
     """Division by the zero polynomial or zero rational function."""
+    exit_code = 3
 
 
 class PoleAtPoint(OreShapeError):
     """A rational function was evaluated where its denominator vanishes."""
+    exit_code = 3
 
 
 class PoleAtOrigin(PoleAtPoint):
@@ -41,35 +47,42 @@ class PoleAtOrigin(PoleAtPoint):
 
 class NonOrdinaryOrigin(OreShapeError):
     """Series solving needed a quotient-action coordinate with a pole at 0."""
+    exit_code = 3
 
 
 class NotZeroDimensional(OreShapeError):
     """The quotient by the ideal is not finite dimensional over K."""
+    exit_code = 3
 
 
 class NotNormalPosition(OreShapeError):
     """The elimination operator has order strictly less than the quotient
     dimension, so no shape basis exists for this ideal as given."""
+    exit_code = 3
 
 
 class NotCyclic(OreShapeError):
     """The proposed vector does not generate the quotient under the action
     of the main derivative."""
+    exit_code = 3
 
 
 class DegreeCapExceeded(OreShapeError):
     """Groebner completion produced an operator above the configured order
     cap; raised instead of looping on pathological input."""
+    exit_code = 4
 
 
 class ResourceLimit(OreShapeError):
     """A result is too large to hand out: a printed number would have more
     than arith.MAX_DIGITS digits in its numerator or denominator."""
+    exit_code = 4
 
 
 class TruncationTooSmall(OreShapeError):
     """A series computation cannot guarantee even one correct coefficient at
     the requested truncation order."""
+    exit_code = 4
 
 
 class NormalizationFailed(OreShapeError):
@@ -77,10 +90,12 @@ class NormalizationFailed(OreShapeError):
 
     Inconclusive by design: exhausting the budget proves nothing about
     whether a suitable shear exists."""
+    exit_code = 5
 
 
 class CyclicVectorNotFound(OreShapeError):
     """No cyclic vector was found within the attempt budget (inconclusive)."""
+    exit_code = 5
 
 
 class InternalError(OreShapeError):

@@ -185,9 +185,6 @@ class GroebnerBasis:
     def contains(self, f: OreOperator) -> bool:
         return self.reduce(f).is_zero()
 
-    def is_unit(self) -> bool:
-        return any(not any(lm) for lm in self.leading_monomials())
-
     def _staircase_bounds(self):
         """Minimal pure-power exponent of each symbol among the leading
         monomials, or None where no pure power occurs."""

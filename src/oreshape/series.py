@@ -192,10 +192,6 @@ class DRadicalVerdict:
     degree_bound: int
     order: int
 
-    @property
-    def dependence_found(self) -> bool:
-        return self.tag == DEPENDENCE_FOUND
-
 
 def _q_echelon() -> _Echelon:
     """An empty echelon over Q, where every nonzero pivot is as good as any."""

@@ -321,13 +321,6 @@ def shape_basis(gb: GroebnerBasis) -> ShapeBasis:
     return sb
 
 
-@dataclass(frozen=True)
-class ShearParams:
-    """The integer (or rational) vector c of a shear y <- y + c*x."""
-
-    c: tuple[Fraction, ...]
-
-
 def shear_ideal(gb: GroebnerBasis, c) -> GroebnerBasis:
     """Groebner basis of the ideal annihilating f(x, y + c*x) for solutions
     f(x, y) of the input: shear every generator by c (OreOperator.shear) and
@@ -344,8 +337,9 @@ def normalize_by_shear(
     seed: int = 0,
     max_attempts: int = 20,
     coeff_range: int = 5,
-) -> tuple[ShearParams, GroebnerBasis]:
-    """Search for a shear putting the ideal into normal position.
+) -> tuple[tuple[Fraction, ...], GroebnerBasis]:
+    """Search for a shear y <- y + c*x putting the ideal into normal
+    position; returns c and the sheared basis.
 
     Tries c = 0 first, then seeded uniform integer vectors with entries in
     [-coeff_range, coeff_range].  Every candidate counts against the budget;
@@ -360,7 +354,7 @@ def normalize_by_shear(
             continue
         tried.add(c)
         if in_normal_position(gb, c):
-            return ShearParams(c), shear_ideal(gb, c)
+            return c, shear_ideal(gb, c)
     raise NormalizationFailed(
         f"no sampled shear reached normal position in {max_attempts} attempts"
     )

@@ -512,7 +512,7 @@ def reference_normalize_by_shear(gb, seed=0, max_attempts=20, coeff_range=5):
     import random
 
     from oreshape.errors import NormalizationFailed
-    from oreshape.shape import ShearParams, shear_ideal
+    from oreshape.shape import shear_ideal
 
     rng = random.Random(seed)
     tried = set()
@@ -526,7 +526,7 @@ def reference_normalize_by_shear(gb, seed=0, max_attempts=20, coeff_range=5):
         tried.add(c)
         sheared = shear_ideal(gb, c)
         if reference_in_normal_position(sheared):
-            return ShearParams(c), sheared
+            return c, sheared
     raise NormalizationFailed(f"no sampled shear reached normal position in {max_attempts} attempts")
 
 

@@ -157,7 +157,7 @@ def criterion_4():
         assert in_normal_position(shear_ideal(gb, (Fraction(c),))), f"shear by {c}"
     params, sheared = normalize_by_shear(gb, seed=0)
     assert in_normal_position(sheared), "normalize_by_shear output"
-    assert sheared.gens == shear_ideal(gb, params.c).gens, "reported shear"
+    assert sheared.gens == shear_ideal(gb, params).gens, "reported shear"
     sb = shape_basis(shear_ideal(gb, (Fraction(1),)))
     assert sb.P() == dx * dx - 3 * dx + 2 * one, f"P = {sb.P()}"
     assert sb.Q(1) == dx - one, f"Q1 = {sb.Q(1)}"

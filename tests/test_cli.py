@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import oreshape
+from oreshape import cli
 from oreshape.arith import MultiPoly, RatFunc, format_monomial, join_sum, power_product, var_name
 from oreshape.cli import main
+from oreshape.errors import OreShapeError
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
@@ -90,11 +93,8 @@ def test_mul_composes_in_file_order(capsys, tmp_path):
 def test_apply_first_operator_to_solutions(capsys, tmp_path):
     path = write(tmp_path, "Dy\n" + EXP_PAIR)
     code, out, _ = run(capsys, "apply", path, "--trunc", "4")
-    assert code == 0
-    lines = out.splitlines()
     # Dy kills exp(x); applied to the second member it leaves exp(x + y)
-    assert lines[0] == "0"
-    assert lines[1] == "1 + y + x + 1/2*y^2 + x*y + 1/2*x^2"
+    assert (code, out) == (0, "0\n1 + y + x + 1/2*y^2 + x*y + 1/2*x^2\n")
 
 
 def test_gb_elim_order_and_round_trip(capsys, tmp_path):
@@ -259,12 +259,43 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("apply", "-", "--trunc", "0"), "Dx\n" + TWO_POINTS, 2),
         (("gauge", "-"), "1\n", 3),
         (("gauge", "-", "--cyclic-vector", "1"), "1\n", 3),
+        (("apply", "-"), "1/x*Dx\nDx - 1\nDy\n", 3),
     ],
 )
 def test_exit_codes(capsys, monkeypatch, argv, stdin, code):
     got, _, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
     assert got == code
     assert err.startswith("error: ")
+
+
+# One row per exported error class, as in the README's exit-code table.
+EXIT_CODES = {
+    "OreShapeError": 1,
+    "InternalError": 1,
+    "ParseError": 2,
+    "ArityError": 2,
+    "NotZeroDimensional": 3,
+    "NotNormalPosition": 3,
+    "NotCyclic": 3,
+    "NonOrdinaryOrigin": 3,
+    "PoleAtPoint": 3,
+    "PoleAtOrigin": 3,
+    "DivisionByZero": 3,
+    "DegreeCapExceeded": 4,
+    "TruncationTooSmall": 4,
+    "ResourceLimit": 4,
+    "NormalizationFailed": 5,
+    "CyclicVectorNotFound": 5,
+}
+
+
+def test_each_error_class_carries_its_exit_code():
+    exported = [getattr(oreshape, name) for name in oreshape.__all__]
+    errors = [cls for cls in exported if isinstance(cls, type) and issubclass(cls, OreShapeError)]
+    assert {cls.__name__: cls.exit_code for cls in errors} == EXIT_CODES
+    assert cli._exit_code(oreshape.PoleAtOrigin("x")) == 3
+    assert cli._exit_code(ValueError("x")) == cli._exit_code(OSError("x")) == 2
+    assert cli._exit_code(RuntimeError("x")) == 1
 
 
 def test_json_error_payload(capsys, monkeypatch):
@@ -349,8 +380,33 @@ def test_printed_numbers_above_the_cap_are_resource_limits(capsys, monkeypatch):
         assert time.perf_counter() - start < 5, text
         assert code == 4 and "Traceback" not in err, text
         assert json.loads(out)["error"] == limit, text
+    # the series lines of text mode are built inside main's error handling
+    for argv, text in (
+        (("solve", "-", "--trunc", "2"), "Dx - 99999^1000\nDy\n"),
+        (("wronskian", "-", "--trunc", "2"), "Dx - 99999^1000\nDy\n"),
+        (("apply", "-", "--trunc", "2"), "1\nDx - 99999^1000\nDy\n"),
+    ):
+        code, out, err = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (4, ""), argv
+        assert err == f"error: {limit['message']}\n", argv
     code, out, _ = run(capsys, "parse", "-", stdin="((10^1000)^4*10^300 - 1)*Dx\n", monkeypatch=monkeypatch)
     assert (code, out) == (0, f"# nvars 1\n{'9' * MAX_DIGITS}*Dx\n")
+
+
+def test_json_mode_formats_no_series_lines(capsys, monkeypatch):
+    calls = []
+    real = cli.format_series
+    monkeypatch.setattr(cli, "format_series", lambda f: calls.append(f) or real(f))
+    for argv, text in (
+        (("solve", "-", "--json"), TWO_POINTS),
+        (("apply", "-", "--json"), "Dx\n" + TWO_POINTS),
+        (("wronskian", "-", "--json"), TWO_POINTS),
+    ):
+        code, out, _ = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["result"], argv
+    assert calls == []
+    code, out, _ = run(capsys, "solve", "-", "--trunc", "3", stdin=TWO_POINTS, monkeypatch=monkeypatch)
+    assert (code, out) == (0, "dimension: 2\n1 - x^2\nx + 3/2*x^2\n") and len(calls) == 2
 
 
 def test_runaway_gauge_then_solve_completes(capsys, monkeypatch):

@@ -9,7 +9,8 @@ form, a chosen basis or a search outcome shows up here.
 
 The transcripts were recorded before the reduction strategy of `gb` was
 rewritten; the `--main-var` entries other than `eliminate` were added, and
-recorded, before `--main-var` handling in `cli` was folded into one place.
+recorded, before `--main-var` handling in `cli` was folded into one place;
+the `mul`, `apply` and `shear` entries before `cli` rendered each result once.
 Re-record them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -37,6 +38,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 COMMANDS = (
     ("parse",),
+    ("mul",),
+    ("apply", "--trunc", "4"),
+    ("shear", "--shear", "{shear}"),
     ("gb", "--order", "degrevlex"),
     ("gb", "--order", "lex"),
     ("gb", "--order", "elim"),
@@ -66,10 +70,11 @@ def transcript(name: str) -> str:
     path = GOLDEN / f"{name}.ideal"
     nvars, _ = parse_ideal_file(path.read_text())
     last_dy = "Dy" if nvars == 1 else f"Dy{nvars}"
+    shear = ",".join(f"{k}/3" for k in range(1, nvars + 1))
     out = []
     for command in COMMANDS:
         for json_flag in ((), ("--json",)):
-            argv = [a.format(last_dy=last_dy) for a in command]
+            argv = [a.format(last_dy=last_dy, shear=shear) for a in command]
             argv = [argv[0], str(path), *argv[1:], *json_flag]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -356,7 +356,7 @@ def test_constant_coefficient_symbol_action():
         a, b = rng.randint(-2, 2), rng.randint(-2, 2)
         f = exp_series(1, 8, (a, b))
         val = sum(
-            (c.constant_value() * Fraction(a) ** dm[0] * Fraction(b) ** dm[1]
+            (c.num.terms[(0, 0)] * Fraction(a) ** dm[0] * Fraction(b) ** dm[1]
              for dm, c in L.terms.items()),
             Fraction(0),
         )

@@ -402,7 +402,6 @@ def test_series_normal_position_matches_algebraic():
 def test_no_dependence_for_semisimple_ideal():
     v = d_radical_check(fixture_gb("two_points"))
     assert v.tag == NO_DEPENDENCE
-    assert not v.dependence_found
     assert v.witness is None
 
 
