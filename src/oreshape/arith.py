@@ -42,6 +42,11 @@ checks and copies nothing.  It may only receive parts that are canonical
 already (tuple keys, nonzero Fraction coefficients, a reduced num/den with
 den monic); the public constructors keep every check.
 
+Every sparse sum of Fractions, ints or RatFuncs is add_into, one merge into
+a dict its caller owns that deletes the keys whose sum vanishes.  The heap
+kernels _z_divide and gb.left_reduce keep their own loops: they also push
+each new key onto a heap, and a shared loop would branch on its caller.
+
 Monomial comparisons everywhere in this module use that same grevlex order;
 it is only a tie-breaking device here (canonical signs, monic denominators),
 not a term order for reduction.
@@ -71,6 +76,22 @@ def var_name(index: int, nvars: int) -> str:
     if index == 0:
         return "x"
     return "y" if nvars == 1 else f"y{index}"
+
+
+def add_into(out: dict, terms: dict, scale=None) -> dict:
+    """out += scale * terms in place (scale None: no multiplication),
+    deleting each key whose sum is 0; returns out."""
+    for k, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        elif s := s + c:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 class MultiPoly:
@@ -164,7 +185,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, 1)
+        return MultiPoly._make(self.nvars, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -175,22 +196,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, -1)
-
-    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign * other for sign in {1, -1}."""
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo)
-            if s is None:
-                out[expo] = c if sign == 1 else -c
-            else:
-                s = s + c if sign == 1 else s - c
-                if s:
-                    out[expo] = s
-                else:
-                    del out[expo]
-        return MultiPoly._make(self.nvars, out)
+        return MultiPoly._make(self.nvars, add_into((-other).terms, self.terms))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -271,13 +277,13 @@ class MultiPoly:
             for _ in range(max((e[i] for e in self.terms), default=0)):
                 p.append(p[-1] * img)
             powers.append(p)
-        out = MultiPoly.zero(n)
+        out: dict[tuple[int, ...], Fraction] = {}
         for expo, c in self.terms.items():
             t = MultiPoly._make(n, {(expo[0],) + (0,) * n: c})
             for p, e in zip(powers, expo[1:]):
                 t = t * p[e]
-            out = out + t
-        return out
+            add_into(out, t.terms)
+        return MultiPoly._make(n, out)
 
     def swap_vars(self, index: int) -> "MultiPoly":
         """Exchange the roles of x and y_index in every exponent tuple."""
@@ -363,19 +369,20 @@ def _z_primitive(f: dict) -> dict:
     return f if g == 1 else {e: c // g for e, c in f.items()}
 
 
+def _z_coeffs(f: dict, v: int) -> dict[int, dict]:
+    """{k: coefficient of v^k in f}, with position v of each exponent set to 0."""
+    out: dict[int, dict] = {}
+    for e, c in f.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return out
+
+
 def _z_eval(f: dict, v: int, xi: int) -> dict:
     """f with variable v set to xi; position v of every exponent becomes 0."""
-    powers = [1]
-    for _ in range(max(e[v] for e in f)):
-        powers.append(powers[-1] * xi)
     out: dict[tuple[int, ...], int] = {}
-    for e, c in f.items():
-        k = e[v]
-        if k:
-            e = e[:v] + (0,) + e[v + 1:]
-            c *= powers[k]
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+    for k, c in _z_coeffs(f, v).items():
+        add_into(out, c, xi**k)
+    return out
 
 
 def _z_interpolate(gamma: dict, v: int, xi: int) -> dict:
@@ -412,6 +419,7 @@ def _z_divide(f: dict, h: dict) -> dict | None:
     hc = h[hl]
     box = [max(e[i] for e in f) - max(e[i] for e in h) for i in range(len(hl))]
     tail = [(e, c) for e, c in h.items() if e != hl]
+    # add_into's merge, inline: a new key also goes onto the heap
     r = dict(f)
     heap = [tuple(map(neg, e)) for e in r]
     heapify(heap)
@@ -497,14 +505,6 @@ def _z_gcd(f: dict, g: dict) -> dict:
     return _gcd_z(f, g) if h is None else h
 
 
-def _z_coeffs(f: dict, v: int) -> dict[int, dict]:
-    """{k: coefficient of v^k in f}, with position v of each exponent set to 0."""
-    out: dict[int, dict] = {}
-    for e, c in f.items():
-        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
-    return out
-
-
 def _z_content_pp(f: dict, v: int) -> tuple[dict, dict]:
     """(content, primitive part) of a nonzero f as a polynomial in v.  The
     content is the gcd of the coefficients, integer content included, so the
@@ -530,13 +530,7 @@ def _gcd_z(f: dict, g: dict) -> dict:
         r = u
         while r and (dr := max(e[v] for e in r)) >= dw:
             t = {e[:v] + (dr - dw,) + e[v + 1:]: c for e, c in r.items() if e[v] == dr}
-            r = _z_mul(lw, r)
-            for e, c in _z_mul(t, w).items():
-                c = r.get(e, 0) - c
-                if c:
-                    r[e] = c
-                else:
-                    del r[e]
+            r = add_into(_z_mul(lw, r), _z_mul(t, w), -1)
         u, w = w, r and _z_content_pp(r, v)[1]
     return _z_mul(_z_gcd(cf, cg), u)
 

@@ -132,6 +132,7 @@ def _parse_shear_vector(text: str, nvars: int) -> tuple[Fraction, ...]:
 
 
 def _series_json(f: TruncSeries) -> dict:
+    """A series in a result, as JSON: json.dumps calls it, text mode never."""
     terms = [
         {"exponents": list(expo), "coefficient": format_number(c)}
         for expo, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -141,7 +142,8 @@ def _series_json(f: TruncSeries) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result_dict, text_lines).  The lines reuse
-# the strings in result; series lines are an iterator main reads in text mode.
+# the strings in result; a series is a TruncSeries in result (json.dumps
+# converts it) and an iterator of lines main reads only in text mode.
 
 
 def _ideal_file_lines(nvars: int, texts: list[str]) -> list[str]:
@@ -173,7 +175,7 @@ def cmd_apply(args, inp: _Input):
     result = {
         "dimension": sol.r,
         "applied": format_operator(op),
-        "images": [_series_json(f) for f in images],
+        "images": images,
     }
     return result, map(format_series, images)
 
@@ -269,7 +271,7 @@ def cmd_solve(args, inp: _Input):
     result = {
         "dimension": sol.r,
         "initial_monomials": [list(m) for m in sol.initial_monomials],
-        "members": [_series_json(f) for f in sol.members],
+        "members": sol.members,
     }
     return result, itertools.chain([f"dimension: {sol.r}"], map(format_series, sol.members))
 
@@ -279,7 +281,7 @@ def cmd_wronskian(args, inp: _Input):
     if sol.r == 0:
         raise NotZeroDimensional("the unit ideal has no solutions to take a Wronskian of")
     w = inp.swapped(wronskian_x(sol.members))
-    return {"dimension": sol.r, "wronskian": _series_json(w)}, map(format_series, [w])
+    return {"dimension": sol.r, "wronskian": w}, map(format_series, [w])
 
 
 def cmd_gauge(args, inp: _Input):
@@ -418,7 +420,18 @@ def main(argv=None) -> int:
         _check_flags(args)
         inp = _read_input(args)
         result, lines = args.func(args, inp)
-        if not args.json:
+        if args.json:
+            payload = {
+                "schema": SCHEMA,
+                "command": args.command,
+                "nvars": inp.nvars,
+                "main_var": getattr(args, "main_var", None) or "Dx",
+                "input_digest": inp.digest,
+                "result": result,
+                "timings_ms": {"total": round((time.perf_counter() - started) * 1000.0, 3)},
+            }
+            lines = [json.dumps(payload, indent=2, default=_series_json)]
+        else:
             lines = list(lines)
     except (OreShapeError, ValueError, OSError) as exc:
         code = _exit_code(exc)
@@ -431,21 +444,8 @@ def main(argv=None) -> int:
             }
             print(json.dumps(payload, indent=2))
         return code
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "nvars": inp.nvars,
-            "main_var": getattr(args, "main_var", None) or "Dx",
-            "input_digest": inp.digest,
-            "result": result,
-            "timings_ms": {"total": round(elapsed_ms, 3)},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -139,6 +139,7 @@ def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
             if _divides(lm, dm):
                 q = -c if lc.is_one() else -c / lc
                 del r[dm]  # lm(D^delta * g) = dm with coefficient lc
+                # arith.add_into's merge, inline: a new key also goes onto the heap
                 for v, a in g.shift(tuple(i - j for i, j in zip(dm, lm))).terms.items():
                     if v == dm:
                         continue

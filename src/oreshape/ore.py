@@ -16,6 +16,8 @@ Groebner bases, elimination) sits on top of this product.
 A product f*g shifts all of g once per term of f, one pass per derivative in
 that term, so it is cheap only when f is short.  __pow__ therefore builds
 self * out k times, and the CLI mul folds a file's product from the right.
+The product fills one dict, merging each c * D^m * g into it with
+arith.add_into (no multiplication when c is 1); sums, shear and apply too.
 
 TruncSeries is the exact truncated power-series module the operators act on.
 A series is a MultiPoly cut at the order N up to which its coefficients are
@@ -33,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .arith import MultiPoly, RatFunc, format_monomial, format_ratfunc, grevlex_key, join_sum, var_name
+from .arith import MultiPoly, RatFunc, add_into, format_monomial, format_ratfunc, grevlex_key, join_sum, var_name
 from .errors import ArityError, InternalError, PoleAtOrigin, TruncationTooSmall
 
 
@@ -144,15 +146,7 @@ class OreOperator:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for dm, c in other.terms.items():
-            s = out.get(dm)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(dm, None)
-            else:
-                out[dm] = s
-        return OreOperator._make(self.nvars, out)
+        return OreOperator._make(self.nvars, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -163,7 +157,7 @@ class OreOperator:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return OreOperator._make(self.nvars, add_into((-other).terms, self.terms))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -180,26 +174,17 @@ class OreOperator:
         return OreOperator._make(self.nvars, {dm: c * v for dm, v in self.terms.items()})
 
     def _d_once(self, index: int) -> "OreOperator":
-        """Left multiplication by the single symbol D_index."""
+        """Left multiplication by the single symbol D_index: D*c*D^m = c*D^(m+1)
+        + dc*D^m.  Raising one exponent is injective: only dc*D^m is merged."""
         out: dict[tuple[int, ...], RatFunc] = {}
-
-        def acc(dm, c):
-            s = out.get(dm)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(dm, None)
-            else:
-                out[dm] = s
-
+        ders: dict[tuple[int, ...], RatFunc] = {}
         for dm, c in self.terms.items():
             up = list(dm)
             up[index] += 1
-            acc(tuple(up), c)
-            if not c.is_constant():
-                dc = c.derivative(index)
-                if not dc.is_zero():
-                    acc(dm, dc)
-        return OreOperator._make(self.nvars, out)
+            out[tuple(up)] = c
+            if not c.is_constant() and (dc := c.derivative(index)):
+                ders[dm] = dc
+        return OreOperator._make(self.nvars, add_into(out, ders))
 
     def shift(self, delta: tuple[int, ...]) -> "OreOperator":
         """Left multiplication by the monomial D^delta."""
@@ -213,10 +198,10 @@ class OreOperator:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        total = OreOperator.zero(self.nvars)
+        out: dict[tuple[int, ...], RatFunc] = {}
         for dm, c in self.terms.items():
-            total = total + other.shift(dm).scale(c)
-        return total
+            add_into(out, other.shift(dm).terms, None if c.is_one() else c)
+        return OreOperator._make(self.nvars, out)
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -259,14 +244,14 @@ class OreOperator:
             raise TruncationTooSmall(
                 f"operator of order {d} applied to a series of guaranteed order {f.order}"
             )
-        out = TruncSeries(self.nvars, f.order, {})
+        out: dict[tuple[int, ...], Fraction] = {}
         for dm, c in self.terms.items():
             g = f
             for index, times in enumerate(dm):
                 for _ in range(times):
                     g = g.diff(index)
-            out = out + ratfunc_to_series(c, g.order) * g
-        return out
+            add_into(out, (ratfunc_to_series(c, g.order) * g).coeffs)
+        return TruncSeries(self.nvars, f.order - d, MultiPoly._make(self.nvars, out))
 
     # -- substitutions ---------------------------------------------------------
 
@@ -283,11 +268,11 @@ class OreOperator:
             raise ArityError(f"{len(c)} shear constants for nvars={self.nvars}")
         c = tuple(Fraction(v) for v in c)
         dx_img = _checked_shear_images(self.nvars, c)
-        total = OreOperator.zero(self.nvars)
+        out: dict[tuple[int, ...], RatFunc] = {}
         for dm, coeff in self.terms.items():
             ys = OreOperator.monomial(self.nvars, (0, *dm[1:]))
-            total = total + OreOperator.from_coeff(coeff.shear_vars(c)) * dx_img ** dm[0] * ys
-        return total
+            add_into(out, (OreOperator.from_coeff(coeff.shear_vars(c)) * dx_img ** dm[0] * ys).terms)
+        return OreOperator._make(self.nvars, out)
 
     def swap_roles(self, index: int) -> "OreOperator":
         """Exchange the distinguished pair (x, Dx) with (y_index, Dy_index)."""

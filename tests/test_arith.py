@@ -86,6 +86,32 @@ def test_add_collapses_to_zero():
     assert ((x + y) - y - x).is_zero()
 
 
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (Fraction(1, 2), Fraction(-1, 3), Fraction(5)),
+        (3, -7, 2),
+        (RatFunc.const(1, Fraction(1, 2)), RatFunc.var(1, 0), RatFunc(P(1)[1], P(1)[0] + 1)),
+    ],
+    ids=["Fraction", "int", "RatFunc"],
+)
+def test_add_into_merges_in_place(a, b, c):
+    """add_into(out, terms, scale): a cancelling key is deleted, a new key
+    inserted, a shared key summed, and scale applied to every term."""
+    k1, k2, k3 = (1, 0), (0, 1), (2, 2)
+    out = {k1: a, k2: b}
+    terms = {k1: -a, k2: c, k3: b}
+    assert arith.add_into(out, terms) is out
+    assert out == {k2: b + c, k3: b} and k1 not in out
+    out = {k1: a, k2: b}
+    # scale * (-a / scale) cancels a: a scale of 2 must be applied, not ignored
+    assert arith.add_into(out, {k1: -a * Fraction(1, 2), k3: c}, 2) is out
+    assert out == {k2: b, k3: 2 * c} and k1 not in out
+    assert arith.add_into(out, {k2: b}, -1) == {k3: 2 * c}
+    # terms is read, never written
+    assert terms == {k1: -a, k2: c, k3: b}
+
+
 def test_ratfunc_reduces_on_construction():
     x, y, one = P(1)
     f = RatFunc(x * x - one, x - one)

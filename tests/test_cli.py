@@ -409,6 +409,29 @@ def test_json_mode_formats_no_series_lines(capsys, monkeypatch):
     assert (code, out) == (0, "dimension: 2\n1 - x^2\nx + 3/2*x^2\n") and len(calls) == 2
 
 
+def test_text_mode_builds_no_series_json(capsys, monkeypatch):
+    calls = []
+    real = cli._series_json
+    monkeypatch.setattr(cli, "_series_json", lambda f: calls.append(f) or real(f))
+    for argv, text in (
+        (("solve", "-"), TWO_POINTS),
+        (("apply", "-"), "Dx\n" + TWO_POINTS),
+        (("wronskian", "-"), TWO_POINTS),
+    ):
+        code, out, _ = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and out, argv
+    assert calls == []
+    for argv, text, count in (
+        (("solve", "-", "--json"), TWO_POINTS, 2),
+        (("apply", "-", "--json"), "Dx\n" + TWO_POINTS, 2),
+        (("wronskian", "-", "--json"), TWO_POINTS, 1),
+    ):
+        code, out, _ = run(capsys, *argv, stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["result"], argv
+        assert len(calls) == count, argv
+        calls.clear()
+
+
 def test_runaway_gauge_then_solve_completes(capsys, monkeypatch):
     """The gauge whose completion in solve once ran for minutes in one gcd."""
     code, out, _ = run(capsys, "gauge", "-", "--json", "--cyclic-vector", "(x^2 + 1)*Dx + y*Dy + x",
