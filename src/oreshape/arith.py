@@ -499,8 +499,6 @@ def _z_gcd(f: dict, g: dict) -> dict:
     integer content: GCDHEU, then the remainder sequence if GCDHEU gives up."""
     if not f or not g:
         return f or g
-    if _z_is_constant(f) or _z_is_constant(g):
-        return {(0,) * len(next(iter(f))): int_gcd(*f.values(), *g.values())}
     h = _heu_gcd(f, g)
     return _gcd_z(f, g) if h is None else h
 
@@ -842,8 +840,6 @@ def format_monomial(expo: tuple[int, ...], coeff, names: list[str]) -> str:
 
 
 def format_poly(p: MultiPoly) -> str:
-    if p.is_zero():
-        return "0"
     names = [var_name(i, p.nvars) for i in range(p.nvars + 1)]
     expos = sorted(p.terms, key=grevlex_key, reverse=True)
     return join_sum([format_monomial(e, p.terms[e], names) for e in expos])

@@ -202,11 +202,12 @@ def cmd_eliminate(args, inp: _Input):
 def _shape_result(inp: _Input, sb) -> dict:
     """The dimension/P/Q/generators payload of a shape basis, in the input's
     variables."""
+    p = format_operator(inp.swapped(sb.P()))
     return {
         "dimension": sb.r,
-        "P": format_operator(inp.swapped(sb.P())),
+        "P": p,
         "Q": [format_operator(inp.swapped(sb.Q(i))) for i in range(1, inp.nvars + 1)],
-        "generators": [format_operator(inp.swapped(g)) for g in sb.generators()],
+        "generators": [format_operator(inp.swapped(g)) for g in sb.generators()[:-1]] + [p],
     }
 
 

@@ -440,8 +440,6 @@ def ratfunc_to_series(f: RatFunc, order: int) -> TruncSeries:
 
 
 def format_operator(op: OreOperator) -> str:
-    if op.is_zero():
-        return "0"
     names = [der_name(i, op.nvars) for i in range(op.nvars + 1)]
     parts = []
     for dm in sorted(op.terms, key=grevlex_key, reverse=True):

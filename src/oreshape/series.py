@@ -281,8 +281,8 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
 def _normalize_witness(polys: list[MultiPoly]) -> tuple[MultiPoly, ...]:
     coeffs = [c for p in polys for c in p.terms.values()]
     denom = lcm(*(c.denominator for c in coeffs))
-    scale = Fraction(denom, gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)) or 1)
-    first = next((p for p in polys if not p.is_zero()), None)
-    if first is not None and first.lead()[1] * scale < 0:
+    scale = Fraction(denom, gcd(*(c.numerator * (denom // c.denominator) for c in coeffs)))
+    first = next(p for p in polys if not p.is_zero())
+    if first.lead()[1] * scale < 0:
         scale = -scale
     return tuple(p * scale for p in polys)

@@ -17,7 +17,9 @@ generator P of the elimination ideal I intersect K[Dx]: the first K-linear
 dependence gives its coefficients.  The ideal is in normal position exactly
 when that first dependence happens at step r = dim of the quotient; then
 expressing the class of each Dyi in the Krylov basis yields Qi with
-Dyi - Qi(Dx) in I, and {Dy1 - Q1, ..., Dyn - Qn, P} generates I.
+Dyi - Qi(Dx) in I, and {Dy1 - Q1, ..., Dyn - Qn, P} generates I.  For the
+unit ideal r = 0: the Krylov family is empty, hence dependent at step 0 = r,
+P = 1, every Qi = 0 and the shape basis is {Dy1, ..., Dyn, 1}.
 
 One routine does all of this linear algebra, and the series layer's too:
 _Echelon is an echelon form over a field given by the caller, K here and Q
@@ -100,10 +102,8 @@ class QuotientAction:
         return v
 
     def unit(self) -> list[RatFunc]:
-        """Coordinates of the class of 1."""
-        v = [RatFunc.zero(self.nvars) for _ in self.basis]
-        v[self.index[(0,) * (self.nvars + 1)]] = RatFunc.one(self.nvars)
-        return v
+        """Coordinates of the class of 1; [] for the unit ideal."""
+        return self.coords(OreOperator.one(self.nvars))
 
     def coords(self, op: OreOperator) -> list[RatFunc]:
         """Coordinates of the residue class of an arbitrary operator."""
@@ -216,10 +216,8 @@ def eliminate_dx(gb: GroebnerBasis, method: str = "krylov") -> OreOperator:
     all Dyi and picks out the Dy-free generator.  Both return the same
     operator; the unit ideal gives P = 1.
     """
-    r = gb.dimension()
+    gb.dimension()  # raises NotZeroDimensional, which elim-order alone would not
     if method == "krylov":
-        if r == 0:
-            return OreOperator.one(gb.nvars)
         act = quotient_action(gb)
         lam, _ = _krylov_walk(act, act.unit())
         return _dx_poly(gb.nvars, [-c for c in lam] + [RatFunc.one(gb.nvars)])
@@ -238,11 +236,8 @@ def in_normal_position(gb: GroebnerBasis, c=()) -> bool:
     """True when the shear of the ideal by c (none for an empty c) is in
     normal position: the walk of L = Dx + sum(ci*Dyi) from the class of 1
     reaches r = dim of the quotient (see the module docstring)."""
-    r = gb.dimension()
-    if r == 0:
-        return True
     act = quotient_action(gb)
-    return len(_krylov_walk(act, act.unit(), c)[0]) == r
+    return len(_krylov_walk(act, act.unit(), c)[0]) == act.r
 
 
 @dataclass(frozen=True)
@@ -283,10 +278,9 @@ def _shape_from_krylov(act: QuotientAction, v0: list[RatFunc]) -> ShapeBasis:
     r = act.r
     nvars = act.nvars
     lam, ech = _krylov_walk(act, v0)
-    if not lam:
-        raise NotCyclic("the vector reduces to zero in the quotient")
     if len(lam) < r:
-        raise NotCyclic(f"Krylov family dependent at step {len(lam)}, quotient dimension {r}")
+        why = f"Krylov family dependent at step {len(lam)}, quotient dimension {r}"
+        raise NotCyclic(why if lam else "the vector reduces to zero in the quotient")
     p_coeffs = tuple(-c for c in lam) + (RatFunc.one(nvars),)
     q_all = tuple(_trim(ech.reduce(act.apply(i, v0))[0]) for i in range(1, nvars + 1))
     return ShapeBasis(nvars, r, p_coeffs, q_all)
@@ -306,10 +300,6 @@ def shape_basis(gb: GroebnerBasis) -> ShapeBasis:
     this forces J = I, under any term order.  A failed containment is a bug
     and raises InternalError.
     """
-    r = gb.dimension()
-    nvars = gb.nvars
-    if r == 0:
-        return ShapeBasis(nvars, 0, (RatFunc.one(nvars),), tuple(() for _ in range(nvars)))
     act = quotient_action(gb)
     try:
         sb = _shape_from_krylov(act, act.unit())
@@ -343,8 +333,9 @@ def normalize_by_shear(
 
     Tries c = 0 first, then seeded uniform integer vectors with entries in
     [-coeff_range, coeff_range].  Every candidate counts against the budget;
-    exhausting it raises NormalizationFailed, which is inconclusive (some
-    other c might work).  Each candidate is judged by in_normal_position(gb,
+    exhausting it, or trying all (2*coeff_range + 1)^n distinct candidates,
+    raises NormalizationFailed, which is inconclusive (an untried c, or one
+    outside the range, might work).  Each candidate is judged by in_normal_position(gb,
     c), so only the shear returned is completed, and none when c = 0 passes."""
     rng = random.Random(seed)
     tried = set()
@@ -355,6 +346,8 @@ def normalize_by_shear(
         tried.add(c)
         if in_normal_position(gb, c):
             return c, shear_ideal(gb, c)
+        if len(tried) == (2 * coeff_range + 1) ** gb.nvars:
+            break
     raise NormalizationFailed(
         f"no sampled shear reached normal position in {max_attempts} attempts"
     )

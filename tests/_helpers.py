@@ -219,10 +219,9 @@ def rand_operator(rng, nvars, max_terms=3, max_ord=2, rat_coeffs=True, origin_sa
     return OreOperator(nvars, terms)
 
 
-def disguised_two_point_ideal(rng, nvars, rat_coeffs):
-    """Generators of the ideal of two points with distinct x-coordinates,
-    hidden by two random elementary steps g_t += q * g_s (q of order at most
-    one), which keep the left ideal the same."""
+def two_point_ideal(rng, nvars):
+    """Constant-coefficient generators of the ideal of two random points
+    with distinct x-coordinates, in shape form."""
     from oreshape.ore import OreOperator
 
     ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
@@ -232,11 +231,24 @@ def disguised_two_point_ideal(rng, nvars, rat_coeffs):
     for t in range(1, nvars + 1):
         b, c = rng.randint(-3, 3), rng.randint(-3, 3)
         gens.append(ds[t] - b * one - (ds[0] - a1 * one).scale(Fraction(c - b, a2 - a1)))
+    return gens
+
+
+def disguise(rng, gens, rat_coeffs):
+    """A copy of gens hidden by two random elementary steps g_t += q * g_s
+    (q of order at most one), which keep the left ideal the same."""
+    gens = list(gens)
     for _ in range(2):
         t, s = rng.sample(range(len(gens)), 2)
-        q = rand_operator(rng, nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
+        q = rand_operator(rng, gens[0].nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
         gens[t] = gens[t] + q * gens[s]
     return gens
+
+
+def disguised_two_point_ideal(rng, nvars, rat_coeffs):
+    """Generators of the ideal of two points with distinct x-coordinates,
+    disguised."""
+    return disguise(rng, two_point_ideal(rng, nvars), rat_coeffs)
 
 
 def rand_series(rng, nvars, order=5, coeff_range=4):

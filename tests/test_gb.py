@@ -178,7 +178,7 @@ def test_left_reduce_matches_the_former_strategy():
 def _fixture_and_golden_ideals():
     ideals = [(1, gens) for gens in fixture_ideals()]
     ideals += [parse_ideal_file(p.read_text()) for p in sorted(GOLDEN.glob("*.ideal"))]
-    assert len(ideals) == len(fixture_ideals()) + 6
+    assert len(ideals) == len(fixture_ideals()) + 7
     return ideals
 
 

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: every command's exact output on six small ideals,
+"""Golden CLI corpus: every command's exact output on seven small ideals,
 and the `apply` image of an operator on two more.
 
 tests/data/golden/<name>.ideal holds an input and <name>.out the
@@ -18,7 +18,8 @@ rewritten; the `--main-var` entries other than `eliminate` were added, and
 recorded, before `--main-var` handling in `cli` was folded into one place;
 the `mul`, `apply` and `shear` entries before `cli` rendered each result once;
 the `.apply` transcripts before the sparse sums of `arith` and `ore` were
-merged in place.
+merged in place; `unit`, the unit ideal (quotient dimension 0), before
+`shape` stopped special-casing that quotient.
 Re-record them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -82,7 +83,7 @@ def _names(suffix: str = ".ideal"):
 
 
 def _inputs():
-    """Every golden input file name, the six ideals first."""
+    """Every golden input file name, the seven ideals first."""
     return [name + suffix for suffix in SUFFIXES for name in _names(suffix)]
 
 
@@ -118,7 +119,7 @@ def _out(filename: str) -> Path:
 
 
 def _corpus_size_ok() -> bool:
-    return len(_names()) == 6 and len(_names(".apply")) == 2
+    return len(_names()) == 7 and len(_names(".apply")) == 2
 
 
 def pytest_generate_tests(metafunc):

@@ -11,6 +11,7 @@ for every operation below; truncated series solutions give a second one.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -386,6 +387,30 @@ def test_normalize_budget_exhaustion():
     # with a single attempt only the zero shift is tried, and it fails here
     with pytest.raises(NormalizationFailed):
         normalize_by_shear(fixture_gb("exp_pair"), max_attempts=1)
+
+
+def test_normalize_stops_once_every_shear_in_range_is_tried(monkeypatch):
+    # The fat point <Dx^2, Dx*Dy, Dy^2> is in normal position under no shear:
+    # the walk of Dx + c*Dy from 1 ends at step 2 < r = 3.  coeff_range B
+    # offers 2B + 1 shears, and the search ends once it has judged each of
+    # them, with the message the budget gives, however large the budget.
+    (dx, dy), one = sym(1)
+    gb = groebner_basis([dx * dx, dx * dy, dy * dy], TermOrder.degrevlex(1))
+    start = time.perf_counter()
+    with pytest.raises(NormalizationFailed, match="in 1000000 attempts"):
+        normalize_by_shear(gb, coeff_range=0, max_attempts=10**6)
+    assert time.perf_counter() - start < 1
+    judged = []
+    real = shape.in_normal_position
+    monkeypatch.setattr(shape, "in_normal_position", lambda gb, c: judged.append(c) or real(gb, c))
+    for coeff_range in (0, 1, 2):
+        judged.clear()
+        with pytest.raises(NormalizationFailed) as stopped:
+            normalize_by_shear(gb, coeff_range=coeff_range, max_attempts=10**6)
+        assert sorted(judged) == [(Fraction(c),) for c in range(-coeff_range, coeff_range + 1)]
+        with pytest.raises(NormalizationFailed) as exhausted:
+            reference_normalize_by_shear(gb, coeff_range=coeff_range, max_attempts=200)
+        assert str(stopped.value).replace("1000000", "200") == str(exhausted.value)
 
 
 def _three_points():
