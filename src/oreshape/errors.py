@@ -75,7 +75,9 @@ class DegreeCapExceeded(OreShapeError):
 
 class ResourceLimit(OreShapeError):
     """A result is too large to hand out: a printed number would have more
-    than arith.MAX_DIGITS digits in its numerator or denominator."""
+    than arith.MAX_DIGITS digits in its numerator or denominator, or a
+    series expansion would walk more than series.MAX_SERIES_MONOMIALS
+    monomials."""
     exit_code = 4
 
 

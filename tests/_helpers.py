@@ -234,6 +234,21 @@ def two_point_ideal(rng, nvars):
     return gens
 
 
+def double_point_ideal(rng, nvars):
+    """Constant-coefficient generators of a random double point, in shape
+    form: (Dx - a)^2 and Dy_t - b_t - c_t*(Dx - a), whose solutions are
+    exp(a*x + b.y) and (x + c.y)*exp(a*x + b.y)."""
+    from oreshape.ore import OreOperator
+
+    ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
+    one = OreOperator.one(nvars)
+    shift = ds[0] - rng.randint(-3, 3) * one
+    gens = [shift * shift]
+    for t in range(1, nvars + 1):
+        gens.append(ds[t] - rng.randint(-3, 3) * one - shift.scale(Fraction(rng.randint(-3, 3))))
+    return gens
+
+
 def disguise(rng, gens, rat_coeffs):
     """A copy of gens hidden by two random elementary steps g_t += q * g_s
     (q of order at most one), which keep the left ideal the same."""

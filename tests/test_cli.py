@@ -23,6 +23,7 @@ from oreshape.errors import OreShapeError
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
+from oreshape.series import MAX_SERIES_MONOMIALS
 
 from _helpers import rand_operator
 
@@ -391,6 +392,30 @@ def test_printed_numbers_above_the_cap_are_resource_limits(capsys, monkeypatch):
         assert err == f"error: {limit['message']}\n", argv
     code, out, _ = run(capsys, "parse", "-", stdin="((10^1000)^4*10^300 - 1)*Dx\n", monkeypatch=monkeypatch)
     assert (code, out) == (0, f"# nvars 1\n{'9' * MAX_DIGITS}*Dx\n")
+
+
+# --trunc 100000 asks each command to walk 5*10^9 monomials in (x, y)
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("solve",), "Dx^2 - 1\nDy - Dx\n"),
+        (("wronskian",), "Dx^2 - 1\nDy - Dx\n"),
+        (("apply",), "Dx\nDx^2 - 1\nDy - Dx\n"),
+        (("check-dradical",), "Dx^2 - 1\nDy - Dx\n"),
+        (("check-normal", "--via", "series"), "Dx^2 - 1\nDy - Dx\n"),
+        # exp(x*y): its action matrices are not constant, so the walk is over K
+        (("solve",), "Dx - y\nDy - x\n"),
+    ],
+)
+def test_series_walk_past_the_monomial_bound_exits_4(capsys, monkeypatch, argv, stdin):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--trunc", "100000", "--json", stdin=stdin, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and "Traceback" not in err
+    assert json.loads(out)["error"] == {
+        "type": "ResourceLimit",
+        "message": f"series order 100000 needs more than {MAX_SERIES_MONOMIALS} monomials in 2 variables",
+    }
 
 
 def test_json_mode_formats_no_series_lines(capsys, monkeypatch):

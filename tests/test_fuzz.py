@@ -11,11 +11,17 @@ Tokens are joined with spaces, so integers stay single digits, and powers
 are not nested: the size of a power is not bounded yet (see ROADMAP), and
 this test is about crashes, not run time.  The example budget is fixed and
 derandomized, so every run checks the same inputs.
+
+The last property compares the two walks of the series layer on
+constant-coefficient ideals, drawn from _helpers: two points or a double
+point, some hidden by elementary steps with constant or rational
+coefficients.
 """
 
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -25,7 +31,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oreshape.cli import _exit_code, main
 from oreshape.errors import OreShapeError
+from oreshape.gb import TermOrder, groebner_basis
 from oreshape.parsing import parse_ideal_file, parse_operator
+from oreshape.series import _Expansion, solve_series
+from oreshape.shape import quotient_action
+
+from _helpers import disguise, double_point_ideal, reference_solve_series, two_point_ideal
 
 DOCUMENTED = {0, 2, 3, 4, 5}
 
@@ -117,3 +128,26 @@ def test_cli_exits_with_documented_codes(text, command, as_json):
     assert "Traceback" not in stderr.getvalue()
     if as_json:
         assert json.loads(stdout.getvalue())["command"] == command
+
+
+@st.composite
+def constant_ideals(draw):
+    """(nvars, generators) of two points or a double point, each a
+    constant-coefficient ideal K[D]*J, possibly disguised: its generators
+    then have polynomial or rational coefficients, its reduced basis not."""
+    nvars = draw(st.integers(1, 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gens = draw(st.sampled_from([two_point_ideal, double_point_ideal]))(rng, nvars)
+    steps = draw(st.sampled_from([None, False, True]))
+    if steps is not None:
+        gens = disguise(rng, gens, rat_coeffs=steps)
+    return nvars, gens
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(constant_ideals(), st.integers(1, 8))
+def test_walk_over_q_matches_the_walk_over_k(ideal, order):
+    nvars, gens = ideal
+    gb = groebner_basis(gens, TermOrder.degrevlex(nvars))
+    assert _Expansion(quotient_action(gb)).rows is not None
+    assert solve_series(gb, order) == reference_solve_series(gb, order)

@@ -11,14 +11,14 @@ dictionaries.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from oreshape import series
 from oreshape.arith import MultiPoly, RatFunc
-from oreshape.errors import NonOrdinaryOrigin, TruncationTooSmall
+from oreshape.errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
 from oreshape.gb import TermOrder, groebner_basis
 from oreshape.ore import OreOperator, TruncSeries
 from oreshape.parsing import parse_ideal_file
@@ -44,11 +44,13 @@ from oreshape.shape import (
 )
 
 from _helpers import (
+    disguise,
     exp_series,
     monomials_below,
     poly_times_exp_series,
     reference_kernel_basis,
     reference_solve_series,
+    two_point_ideal,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -300,19 +302,23 @@ def test_solve_series_matches_reference_on_fixtures_and_golden_ideals():
         _assert_solve_matches_reference(gb, range(3, 13))
 
 
+def _conjugate(gb, c):
+    """The ideal (x + c)*I*(1/(x + c)), completed: (x + c)*g*(1/(x + c))
+    annihilates (x + c)*f whenever g annihilates f.  Its quotient
+    coordinates carry powers of x + c in their denominators."""
+    xc = RatFunc.var(gb.nvars, 0) + RatFunc.const(gb.nvars, c)
+    left, right = OreOperator.from_coeff(xc), OreOperator.from_coeff(1 / xc)
+    return groebner_basis([left * g * right for g in gb.gens], gb.order)
+
+
 def test_solve_series_matches_reference_on_conjugated_ideals():
-    # (x + c)*g*(1/(x + c)) annihilates (x + c)*f whenever g annihilates f;
-    # its quotient coordinates carry powers of x + c in their denominators
     rng = random.Random(1409)
     pool = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
     pool += [gb for gb in golden_gbs() if gb.nvars == 2]
     denominators = 0
     for gb in pool:
         for _ in range(2):
-            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
-            xc = RatFunc.var(gb.nvars, 0) + RatFunc.const(gb.nvars, c)
-            left, right = OreOperator.from_coeff(xc), OreOperator.from_coeff(1 / xc)
-            conj = groebner_basis([left * g * right for g in gb.gens], gb.order)
+            conj = _conjugate(gb, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
             act = quotient_action(conj)
             denominators += sum(not v.den.is_one() for t in range(gb.nvars + 1) for v in act.apply(t, act.unit()))
             _assert_solve_matches_reference(conj, range(3, 9))
@@ -490,26 +496,84 @@ def test_dependence_found_on_span_of_kernel_basis():
 
 
 def test_resumed_expansion_matches_fresh_one():
-    for name in ("two_points", "double_point", "nilpotent_y"):
-        gb = fixture_gb(name)
+    # the last ideal has rational action matrices, so it resumes the walk over K
+    gbs = [fixture_gb(name) for name in ("two_points", "double_point", "nilpotent_y")]
+    gbs.append(_conjugate(fixture_gb("double_point"), Fraction(2)))
+    for gb in gbs:
         expansion = _Expansion(quotient_action(gb))
         for order in (3, 7, 5, 11):
-            assert expansion.solution(order) == solve_series(gb, order)
+            assert expansion.solution(order) == solve_series(gb, order) == reference_solve_series(gb, order)
+    assert expansion.rows is None
+
+
+def test_constant_action_matrices_take_the_walk_over_q():
+    # A disguised ideal has rational generators but the constant reduced
+    # basis of its two points, so its A_t are constant; a conjugated ideal's
+    # are not.  Both walks agree with the walk over K of the reference.
+    rng = random.Random(2006)
+    for nvars in (1, 2):
+        plain = two_point_ideal(rng, nvars)
+        gens = disguise(rng, plain, rat_coeffs=True)
+        assert not all(c.is_constant() for g in gens for c in g.terms.values())
+        disguised = groebner_basis(gens, TermOrder.degrevlex(nvars))
+        assert all(c.is_constant() for g in disguised.gens for c in g.terms.values())
+        conjugated = _conjugate(groebner_basis(plain, TermOrder.degrevlex(nvars)), Fraction(3, 2))
+        for gb, over_q in ((disguised, True), (conjugated, False)):
+            assert (_Expansion(quotient_action(gb)).rows is not None) == over_q
+            _assert_solve_matches_reference(gb, range(1, 9))
+
+
+def _count_steps(monkeypatch):
+    """Record each step of either walk: A_t·v over Q, D_t·v over K."""
+    steps = {"Q": 0, "K": 0}
+    q_apply, apply = series._q_apply, QuotientAction.apply
+
+    def q_counting(rows, v):
+        steps["Q"] += 1
+        return q_apply(rows, v)
+
+    def k_counting(self, t, v):
+        steps["K"] += 1
+        return apply(self, t, v)
+
+    monkeypatch.setattr(series, "_q_apply", q_counting)
+    monkeypatch.setattr(QuotientAction, "apply", k_counting)
+    return steps
 
 
 def test_dependence_check_expands_each_monomial_once(monkeypatch):
-    calls = []
-    apply = QuotientAction.apply
-
-    def counting(self, t, v):
-        calls.append(t)
-        return apply(self, t, v)
-
-    monkeypatch.setattr(QuotientAction, "apply", counting)
+    steps = _count_steps(monkeypatch)
     # one derivative step per monomial of total degree 1..order + 3
+    deep = len(list(_graded_monomials(2, 14))) - 1
     assert d_radical_check(fixture_gb("double_point"), order=10).tag == DEPENDENCE_FOUND
-    assert len(calls) == len(list(_graded_monomials(2, 14))) - 1
+    assert steps == {"Q": deep, "K": 0}
+    # over K: the conjugated double point keeps its dependence
+    steps.update(Q=0, K=0)
+    assert d_radical_check(_conjugate(fixture_gb("double_point"), Fraction(2)), order=10).tag == DEPENDENCE_FOUND
+    assert steps == {"Q": 0, "K": deep}
     # no kernel: the deeper expansion never runs
-    calls.clear()
+    steps.update(Q=0, K=0)
     assert d_radical_check(fixture_gb("two_points"), degree_bound=1, order=10).tag == NO_DEPENDENCE
-    assert len(calls) == len(list(_graded_monomials(2, 10))) - 1
+    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0}
+
+
+def test_series_walk_is_bounded(monkeypatch):
+    # the bound admits exactly the largest orders the README states
+    for nvars, top in ((1, 446), (2, 83), (3, 37)):
+        assert comb(top + nvars, nvars + 1) <= series.MAX_SERIES_MONOMIALS < comb(top + 1 + nvars, nvars + 1)
+    # the unit ideal has nothing to walk, at any order
+    assert solve_series(fixture_gb("unit"), 10**6).r == 0
+    # 55 monomials have total degree below 10 in (x, y)
+    monkeypatch.setattr(series, "MAX_SERIES_MONOMIALS", 55)
+    steps = _count_steps(monkeypatch)
+    assert solve_series(fixture_gb("two_points"), 10).order == 10
+    steps.update(Q=0, K=0)
+    for gb in (fixture_gb("two_points"), _conjugate(fixture_gb("two_points"), Fraction(2))):
+        with pytest.raises(ResourceLimit, match="series order 11 needs more than 55 monomials in 2 variables"):
+            solve_series(gb, 11)
+    assert steps == {"Q": 0, "K": 0}
+    # check-dradical walks to order 10, finds a kernel, and is refused at its
+    # resumed walk to order 14
+    with pytest.raises(ResourceLimit, match="series order 14"):
+        d_radical_check(fixture_gb("double_point"), order=10)
+    assert steps == {"Q": 54, "K": 0}
