@@ -9,16 +9,13 @@ tuple m is
     const(num) / const(den) / m!   for coords(NF(D^m))[k] = num/den,
 
 its value at 0 as constant term over constant term, with coords(m + e_t) =
-d/dt coords(m) + A_t coords(m) walked in graded order.  A den with no constant
-term means the origin is not ordinary.  It is read before num: the reduced
-x^2/(x + y)^2 also has num constant 0, but has no value at 0.
-
-That walk is over K.  When every entry of every A_t is constant, as for
-K[D]*J with J in Q[D], every coords(m) from the class of 1 is constant, so
-d/dt coords(m) = 0 and the walk is coords(m + e_t) = A_t coords(m) over Q;
-coords(m)[k] / m! is then the coefficient, with no pole to check.  An order
-that would walk more than MAX_SERIES_MONOMIALS monomials is a
-ResourceLimit, raised before the first step.
+D_t . coords(m) walked in graded order by the quotient action from the
+class of 1.  A den with no constant term means the origin is not ordinary.
+It is read before num: the reduced x^2/(x + y)^2 also has num constant 0,
+but has no value at 0.  Over Q (see shape) a coordinate is its own value.
+An expansion that would walk more than MAX_SERIES_MONOMIALS monomials,
+check-dradical's deeper re-check included, is a ResourceLimit raised
+before its first step.
 
 The Wronskian in x is computed by cofactor expansion: the ring of truncated
 series has zero divisors, so elimination with division is not available.
@@ -47,11 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .arith import MultiPoly, grevlex_key
+from .arith import MultiPoly, RatFunc, grevlex_key
 from .errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
 from .gb import GroebnerBasis
 from .ore import TruncSeries
-from .shape import _Echelon, quotient_action
+from .shape import _q_echelon, quotient_action
 
 DEPENDENCE_FOUND = "DependenceFound"
 NO_DEPENDENCE = "NoDependenceUpToBound"
@@ -90,21 +87,21 @@ def _graded_monomials(nsyms: int, bound: int, start: int = 0):
 
 
 class _Expansion:
-    """The coefficient walk behind solve_series, resumable to a higher order.
+    """The coefficient walk behind solve_series, resumable up to order `top`.
 
     Holds the Taylor coefficients read off so far and the quotient
     coordinates of the last degree layer walked, which is all the next
     layer needs; solution(order) walks only the layers below `order` not yet
-    reached.  `rows` holds the A_t over Q when all are constant, else None."""
+    reached."""
 
-    def __init__(self, act):
+    def __init__(self, act, top: int):
+        if act.r and comb(top + act.nvars, act.nvars + 1) > MAX_SERIES_MONOMIALS:
+            raise ResourceLimit(f"series order {top} needs more than {MAX_SERIES_MONOMIALS} "
+                                f"monomials in {act.nvars + 1} variables")
         self.act = act
         self.reached = 0
         self.layer = {}
         self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
-        self.rows = None
-        if all(a.is_constant() for A in act.matrices for row in A for a in row):
-            self.rows = [[[(j, _value(a)) for j, a in enumerate(row) if a] for row in A] for A in act.matrices]
 
     def solution(self, order: int) -> SolutionBasis:
         act = self.act
@@ -112,28 +109,23 @@ class _Expansion:
         nvars = act.nvars
         if r == 0:
             return SolutionBasis(nvars, 0, order, (), ())
-        if comb(order + nvars, nvars + 1) > MAX_SERIES_MONOMIALS:
-            raise ResourceLimit(f"series order {order} needs more than {MAX_SERIES_MONOMIALS} "
-                                f"monomials in {nvars + 1} variables")
         zero = (0,) * (nvars + 1)
-        rows = self.rows
         for d in range(self.reached, order):
             layer = {}
             for m in _graded_monomials(nvars + 1, d + 1, d):
                 if d == 0:
-                    cm = act.unit() if rows is None else [_value(c) for c in act.unit()]
+                    cm = act.unit()
                 else:
                     t = next(i for i, e in enumerate(m) if e)
                     prev = list(m)
                     prev[t] -= 1
-                    v = self.layer[tuple(prev)]
-                    cm = act.apply(t, v) if rows is None else _q_apply(rows[t], v)
+                    cm = act.apply(t, self.layer[tuple(prev)])
                 layer[m] = cm
                 fact = 1
                 for e in m:
                     fact *= factorial(e)
                 for k, c in enumerate(cm):
-                    if rows is None:
+                    if isinstance(c, RatFunc):
                         den0 = c.den.terms.get(zero)
                         if den0 is None:
                             raise NonOrdinaryOrigin(
@@ -148,21 +140,11 @@ class _Expansion:
         return SolutionBasis(nvars, r, order, tuple(act.basis), members)
 
 
-def _value(c) -> Fraction:
-    """The rational value of a constant of K: its numerator's one term, if any."""
-    return sum(c.num.terms.values(), Fraction(0))
-
-
-def _q_apply(rows, v: list[Fraction]) -> list[Fraction]:
-    """A_t·v over Q, for A_t given row by row as its nonzero entries (j, a)."""
-    return [sum(a * v[j] for j, a in row if v[j]) for row in rows]
-
-
 def solve_series(gb: GroebnerBasis, order: int = 8) -> SolutionBasis:
     """Expand the canonical solution basis to guaranteed order `order`."""
     if order < 1:
         raise TruncationTooSmall("series order must be at least 1")
-    return _Expansion(quotient_action(gb)).solution(order)
+    return _Expansion(quotient_action(gb), order).solution(order)
 
 
 def _det(rows: list[list[TruncSeries]]) -> TruncSeries:
@@ -223,11 +205,6 @@ class DRadicalVerdict:
     order: int
 
 
-def _q_echelon() -> _Echelon:
-    """An empty echelon over Q, where every nonzero pivot is as good as any."""
-    return _Echelon(Fraction(0), Fraction(1), lambda a: 0)
-
-
 def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel over Q, one vector per dependent column."""
     ech = _q_echelon()
@@ -256,7 +233,7 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     about these bounds."""
     if order <= degree_bound:
         raise TruncationTooSmall("series order must exceed degree_bound")
-    expansion = _Expansion(quotient_action(gb))
+    expansion = _Expansion(quotient_action(gb), order + 4)
     sol = expansion.solution(order)
     r = sol.r
     nvars = gb.nvars

@@ -22,17 +22,25 @@ unit ideal r = 0: the Krylov family is empty, hence dependent at step 0 = r,
 P = 1, every Qi = 0 and the shape basis is {Dy1, ..., Dyn, 1}.
 
 One routine does all of this linear algebra, and the series layer's too:
-_Echelon is an echelon form over a field given by the caller, K here and Q
-in series, that grows one vector at a time and remembers each row's
-combination of the family.  _krylov_walk walks the Krylov family into it
-up to the first dependence.  The k-th step reduces one new vector against
-k rows, so a walk to step r costs O(r^3) operations in K instead of the
-O(r^4) of solving afresh at every step.  The Dyi images reduce against the
-same echelon.  Over K, pivots are the lowest-degree nonzero entry of the
-reduced vector (ties by position), which keeps intermediate coefficient
-growth down and the whole computation deterministic; the results do not
-depend on the pivots, since coefficients in an independent family are
-unique.
+_Echelon is an echelon form over a field given by the caller that grows
+one vector at a time and remembers each row's combination of the family.
+_krylov_walk walks the Krylov family into it up to the first dependence.
+The k-th step reduces one new vector against k rows, so a walk to step r
+costs O(r^3) field operations instead of the O(r^4) of solving afresh at
+every step.  The Dyi images reduce against the same echelon.  Over K,
+pivots are the lowest-degree nonzero entry of the reduced vector (ties by
+position), which keeps intermediate coefficient growth down and the whole
+computation deterministic; the results do not depend on the pivots, since
+coefficients in an independent family are unique.
+
+The field is a property of the quotient action.  When every entry of every
+A_D is constant, as for K[D]*J with J in Q[D], QuotientAction also keeps the
+A_D over Q (q_rows) and gives the class of 1 over Q.  Every D.v from it is
+constant too, so its derivative is 0 and apply steps it by A_D*v over Q;
+the Krylov walk runs over the field of its start vector, with the first
+nonzero entry as pivot over Q.  On constants every entry has degree 0, so
+the echelon over K picks the same pivots: lam, P and the Qi are the same.
+coords and matrices stay over K.
 
 Shears are judged without a completion.  The shear by c (OreOperator.shear)
 is an automorphism phi of K[D] that maps K onto K, with phi^-1(Dx) = L =
@@ -70,7 +78,7 @@ from .ore import OreOperator
 class QuotientAction:
     """Coordinates and derivative action on K[D]/I for zero-dimensional I."""
 
-    __slots__ = ("gb", "basis", "index", "matrices")
+    __slots__ = ("gb", "basis", "index", "matrices", "q_rows")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
@@ -86,6 +94,9 @@ class QuotientAction:
                 nf = gb.reduce(OreOperator.monomial(gb.nvars, tuple(up)))
                 cols.append(self._standard_coords(nf))
             self.matrices.append([[cols[j][i] for j in range(r)] for i in range(r)])
+        self.q_rows = None  # each A_t over Q as rows of its nonzero entries (j, a)
+        if all(a.is_constant() for A in self.matrices for row in A for a in row):
+            self.q_rows = [[[(j, _value(a)) for j, a in enumerate(row) if a] for row in A] for A in self.matrices]
 
     @property
     def r(self) -> int:
@@ -101,25 +112,29 @@ class QuotientAction:
             v[self.index[dm]] = c
         return v
 
-    def unit(self) -> list[RatFunc]:
-        """Coordinates of the class of 1; [] for the unit ideal."""
-        return self.coords(OreOperator.one(self.nvars))
+    def unit(self) -> list:
+        """Coordinates of the class of 1, over Q when q_rows is set; [] for
+        the unit ideal."""
+        v = self.coords(OreOperator.one(self.nvars))
+        return v if self.q_rows is None else [_value(c) for c in v]
 
     def coords(self, op: OreOperator) -> list[RatFunc]:
         """Coordinates of the residue class of an arbitrary operator."""
         return self._standard_coords(self.gb.reduce(op))
 
-    def apply(self, t: int, v: list[RatFunc]) -> list[RatFunc]:
-        """Action of D_t on a coordinate vector: derivative plus matrix part."""
+    def apply(self, t: int, v: list) -> list:
+        """Action of D_t on a coordinate vector: derivative plus matrix part
+        over K, the matrix part alone over Q."""
+        if not v or not isinstance(v[0], RatFunc):
+            return [sum(a * v[j] for j, a in row if v[j]) for row in self.q_rows[t]]
         A = self.matrices[t]
-        out = []
-        for i in range(len(v)):
-            s = v[i].derivative(t)
-            for j, vj in enumerate(v):
-                if not vj.is_zero() and not A[i][j].is_zero():
-                    s = s + A[i][j] * vj
-            out.append(s)
-        return out
+        return [sum((A[i][j] * vj for j, vj in enumerate(v) if vj and A[i][j]), vi.derivative(t))
+                for i, vi in enumerate(v)]
+
+
+def _value(c: RatFunc) -> Fraction:
+    """The rational value of a constant of K: its numerator's one term, if any."""
+    return sum(c.num.terms.values(), Fraction(0))
 
 
 def quotient_action(gb: GroebnerBasis) -> QuotientAction:
@@ -182,15 +197,22 @@ class _Echelon:
         return None
 
 
-def _krylov_walk(act: QuotientAction, v0: list[RatFunc], c=()):
+def _q_echelon() -> _Echelon:
+    """An empty echelon over Q, where every nonzero pivot is as good as any."""
+    return _Echelon(Fraction(0), Fraction(1), lambda a: 0)
+
+
+def _krylov_walk(act: QuotientAction, v0: list, c=()):
     """The Krylov walk v0, L.v0, L^2.v0, ... of L = Dx + sum(ci*Dyi) (Dx
     itself for an empty c) up to its first dependence.
 
     Returns (lam, ech): L^s.v0 = sum lam[k] * L^k.v0 with s = len(lam)
     the first step whose vector lies in the span of the earlier ones, and
-    ech the echelon of v0..L^(s-1).v0.  s = 0 when v0 is zero, and s <= r.
+    ech the echelon of v0..L^(s-1).v0, over the field of v0's entries.
+    s = 0 when v0 is zero, and s <= r.
     """
-    ech = _Echelon(RatFunc.zero(act.nvars), RatFunc.one(act.nvars), RatFunc.degree)
+    over_k = v0 and isinstance(v0[0], RatFunc)
+    ech = _Echelon(RatFunc.zero(act.nvars), RatFunc.one(act.nvars), RatFunc.degree) if over_k else _q_echelon()
     v = v0
     while True:
         lam = ech.add(v)
@@ -263,13 +285,14 @@ class ShapeBasis:
         return dys + [self.P()]
 
 
-def _trim(coeffs: list[RatFunc]) -> tuple[RatFunc, ...]:
-    while coeffs and coeffs[-1].is_zero():
+def _trim(nvars: int, coeffs: list) -> tuple[RatFunc, ...]:
+    """The coefficients, over Q or K, as RatFuncs without trailing zeros."""
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
-    return tuple(coeffs)
+    return tuple(c if isinstance(c, RatFunc) else RatFunc.const(nvars, c) for c in coeffs)
 
 
-def _shape_from_krylov(act: QuotientAction, v0: list[RatFunc]) -> ShapeBasis:
+def _shape_from_krylov(act: QuotientAction, v0: list) -> ShapeBasis:
     """Shared core of shape_basis and gauge_transform: build P and the Qi
     from the Krylov family of v0, requiring independence up to step r.
 
@@ -281,8 +304,8 @@ def _shape_from_krylov(act: QuotientAction, v0: list[RatFunc]) -> ShapeBasis:
     if len(lam) < r:
         why = f"Krylov family dependent at step {len(lam)}, quotient dimension {r}"
         raise NotCyclic(why if lam else "the vector reduces to zero in the quotient")
-    p_coeffs = tuple(-c for c in lam) + (RatFunc.one(nvars),)
-    q_all = tuple(_trim(ech.reduce(act.apply(i, v0))[0]) for i in range(1, nvars + 1))
+    p_coeffs = _trim(nvars, [-c for c in lam] + [ech.one])
+    q_all = tuple(_trim(nvars, ech.reduce(act.apply(i, v0))[0]) for i in range(1, nvars + 1))
     return ShapeBasis(nvars, r, p_coeffs, q_all)
 
 

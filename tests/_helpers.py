@@ -249,6 +249,38 @@ def double_point_ideal(rng, nvars):
     return gens
 
 
+# Multiplicity patterns of the roots of P, from r = 2 to r = 4.
+MULTIPLICITIES = [(1, 1), (2,), (1, 1, 1), (2, 1), (3,), (1, 1, 1, 1), (2, 1, 1), (2, 2)]
+
+
+def shape_form_ideal(rng, nvars, patterns=MULTIPLICITIES):
+    """(generators, multiplicities) of J = <prod (Dx - a_k)^mu_k, Dy_i - Q_i(Dx)>
+    with distinct random integers a_k, a random pattern mu from patterns
+    and random Q_i of order below r = sum mu_k.
+
+    Q[D]/J is Q[Dx]/(P), so J is radical exactly when every mu_k is 1.  Then
+    the solutions of K[D]*J are r exponentials exp(a_k*x + sum Q_i(a_k)*y_i),
+    with distinct exponents, hence K-independent.  A root a with mu_k >= 2
+    also has the solution (x + sum Q_i'(a)*y_i) times its exponential, a
+    polynomial multiple of the first: the solutions are K-dependent."""
+    from oreshape.ore import OreOperator
+
+    mults = rng.choice(patterns)
+    ds = [OreOperator.D(nvars, i) for i in range(nvars + 1)]
+    one = OreOperator.one(nvars)
+    p = one
+    for a, mu in zip(rng.sample(range(-3, 4), len(mults)), mults):
+        for _ in range(mu):
+            p = p * (ds[0] - a * one)
+    gens = [p]
+    for t in range(1, nvars + 1):
+        q = OreOperator.zero(nvars)
+        for k in range(sum(mults)):
+            q = q + rng.randint(-2, 2) * ds[0] ** k
+        gens.append(ds[t] - q)
+    return gens, mults
+
+
 def disguise(rng, gens, rat_coeffs):
     """A copy of gens hidden by two random elementary steps g_t += q * g_s
     (q of order at most one), which keep the left ideal the same."""
@@ -564,10 +596,13 @@ def reference_normalize_by_shear(gb, seed=0, max_attempts=20, coeff_range=5):
 
 def reference_solve_series(gb, order):
     """The former series.solve_series: the same walk of quotient coordinates,
-    with each coordinate's value at 0 taken by RatFunc.evaluate, so a pole
-    is a denominator that evaluates to 0 there."""
+    always over K from act.coords(1), each step d/dt c + A_t*c written out
+    from act.matrices rather than taken from QuotientAction.apply, and each
+    coordinate's value at 0 taken by RatFunc.evaluate, so a pole is a
+    denominator that evaluates to 0 there."""
+    from oreshape.arith import RatFunc
     from oreshape.errors import NonOrdinaryOrigin, PoleAtPoint
-    from oreshape.ore import TruncSeries
+    from oreshape.ore import OreOperator, TruncSeries
     from oreshape.series import SolutionBasis, _graded_monomials
     from oreshape.shape import quotient_action
 
@@ -583,9 +618,11 @@ def reference_solve_series(gb, order):
             t = next(i for i, e in enumerate(m) if e)
             prev = list(m)
             prev[t] -= 1
-            coords[m] = act.apply(t, coords[tuple(prev)])
+            v, A = coords[tuple(prev)], act.matrices[t]
+            coords[m] = [v[i].derivative(t) + sum((A[i][j] * v[j] for j in range(r)), RatFunc.zero(nvars))
+                         for i in range(r)]
         else:
-            coords[m] = act.unit()
+            coords[m] = act.coords(OreOperator.one(nvars))
         fact = 1
         for e in m:
             fact *= factorial(e)

@@ -394,7 +394,9 @@ def test_printed_numbers_above_the_cap_are_resource_limits(capsys, monkeypatch):
     assert (code, out) == (0, f"# nvars 1\n{'9' * MAX_DIGITS}*Dx\n")
 
 
-# --trunc 100000 asks each command to walk 5*10^9 monomials in (x, y)
+# --trunc 100000 asks each command to walk 5*10^9 monomials in (x, y).
+# check-dradical is refused before its first walk when its deeper re-check,
+# at --trunc + 4, would pass the bound: from --trunc 443 on.
 @pytest.mark.parametrize(
     "argv, stdin",
     [
@@ -405,16 +407,21 @@ def test_printed_numbers_above_the_cap_are_resource_limits(capsys, monkeypatch):
         (("check-normal", "--via", "series"), "Dx^2 - 1\nDy - Dx\n"),
         # exp(x*y): its action matrices are not constant, so the walk is over K
         (("solve",), "Dx - y\nDy - x\n"),
+        (("check-dradical", "--trunc", "443"), "Dx^2 - 3*Dx + 2\nDy - Dx\n"),
     ],
 )
 def test_series_walk_past_the_monomial_bound_exits_4(capsys, monkeypatch, argv, stdin):
+    if "--trunc" not in argv:
+        argv += ("--trunc", "100000")
+    trunc = int(argv[argv.index("--trunc") + 1])
+    walked = trunc + 4 if argv[0] == "check-dradical" else trunc
     start = time.perf_counter()
-    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--trunc", "100000", "--json", stdin=stdin, monkeypatch=monkeypatch)
+    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--json", stdin=stdin, monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 1
     assert code == 4 and "Traceback" not in err
     assert json.loads(out)["error"] == {
         "type": "ResourceLimit",
-        "message": f"series order 100000 needs more than {MAX_SERIES_MONOMIALS} monomials in 2 variables",
+        "message": f"series order {walked} needs more than {MAX_SERIES_MONOMIALS} monomials in 2 variables",
     }
 
 

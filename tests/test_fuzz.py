@@ -12,10 +12,10 @@ are not nested: the size of a power is not bounded yet (see ROADMAP), and
 this test is about crashes, not run time.  The example budget is fixed and
 derandomized, so every run checks the same inputs.
 
-The last property compares the two walks of the series layer on
-constant-coefficient ideals, drawn from _helpers: two points or a double
-point, some hidden by elementary steps with constant or rational
-coefficients.
+The last property compares the walks over Q and over K, the series walk
+and the Krylov walk, on constant-coefficient ideals, drawn from _helpers:
+two points or a double point, some hidden by elementary steps with
+constant or rational coefficients.
 """
 
 import contextlib
@@ -23,6 +23,8 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -32,9 +34,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oreshape.cli import _exit_code, main
 from oreshape.errors import OreShapeError
 from oreshape.gb import TermOrder, groebner_basis
+from oreshape.ore import OreOperator
 from oreshape.parsing import parse_ideal_file, parse_operator
-from oreshape.series import _Expansion, solve_series
-from oreshape.shape import quotient_action
+from oreshape.series import solve_series
+from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action
 
 from _helpers import disguise, double_point_ideal, reference_solve_series, two_point_ideal
 
@@ -149,5 +152,12 @@ def constant_ideals(draw):
 def test_walk_over_q_matches_the_walk_over_k(ideal, order):
     nvars, gens = ideal
     gb = groebner_basis(gens, TermOrder.degrevlex(nvars))
-    assert _Expansion(quotient_action(gb)).rows is not None
+    act = quotient_action(gb)
+    over_q, over_k = act.unit(), act.coords(OreOperator.one(nvars))
+    assert all(type(a) is Fraction for a in over_q)
     assert solve_series(gb, order) == reference_solve_series(gb, order)
+    # the Krylov walk from the class of 1 over Q, as shape takes it, against
+    # the walk over K from the same class, also under shears
+    assert _shape_from_krylov(act, over_q) == _shape_from_krylov(act, over_k)
+    for c in product((Fraction(0), Fraction(1), Fraction(-2)), repeat=nvars):
+        assert _krylov_walk(act, over_q, c)[0] == _krylov_walk(act, over_k, c)[0]

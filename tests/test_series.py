@@ -44,12 +44,14 @@ from oreshape.shape import (
 )
 
 from _helpers import (
+    MULTIPLICITIES,
     disguise,
     exp_series,
     monomials_below,
     poly_times_exp_series,
     reference_kernel_basis,
     reference_solve_series,
+    shape_form_ideal,
     two_point_ideal,
 )
 
@@ -495,15 +497,57 @@ def test_dependence_found_on_span_of_kernel_basis():
         assert combo_coefficient(v.witness, sol.members, expo) == 0
 
 
+def test_dependence_verdict_matches_the_multiplicities():
+    # Ground truth by construction (_helpers.shape_form_ideal): the solutions
+    # are K-dependent exactly when P has a multiple root.  A shear keeps that
+    # and may leave normal position; conjugation by x + c keeps it and moves
+    # the walk from Q to K.  A false witness makes sum p_i*f_i a nonzero
+    # exponential polynomial that vanishes through total degree 13, the
+    # default re-check.  On a line through 0 where its exponents differ it
+    # has at most 4*r coefficients (deg p_i <= 3), so by Polya's bound it
+    # vanishes there to order at most 4*r - 1.  That rules it out for the
+    # r <= 3 sampled here, not for r = 4 (next test); the check through
+    # total degree 15 below rules it out up to r = 4.
+    rng = random.Random(104)
+    patterns = [m for m in MULTIPLICITIES if sum(m) <= 3]
+    for i in range(12):
+        kind = ("plain", "shear", "conjugate")[i % 3]
+        nvars = 1 if kind == "conjugate" else rng.choice((1, 2))
+        gens, mults = shape_form_ideal(rng, nvars, patterns)
+        gb = groebner_basis(gens, TermOrder.degrevlex(nvars))
+        if kind == "shear":
+            gb = shear_ideal(gb, tuple(Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(nvars)))
+        elif kind == "conjugate":
+            gb = _conjugate(gb, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
+        assert isinstance(quotient_action(gb).unit()[0], RatFunc) == (kind == "conjugate")
+        v = d_radical_check(gb)
+        assert (v.tag == DEPENDENCE_FOUND) == (max(mults) >= 2), (kind, mults, [str(g) for g in gens])
+        if v.witness is not None:
+            sol = reference_solve_series(gb, v.order + 6)
+            for expo in monomials_below(nvars, v.order + 6):
+                assert combo_coefficient(v.witness, sol.members, expo) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="the re-check at order + 4 admits false witnesses from r = 4 on")
+def test_no_dependence_among_four_exponentials():
+    # The solutions 1, e^x, e^(2x), e^(3x) are K-independent, but at the
+    # default bounds 16 polynomial coefficients of degree <= 3 in x leave a
+    # sum that vanishes through total degree 13 (Hermite-Pade), so the
+    # re-check at order 14 passes it.
+    (dx, dy), one = sym(1)
+    gb = groebner_basis([dx * (dx - one) * (dx - 2 * one) * (dx - 3 * one), dy], TermOrder.degrevlex(1))
+    assert d_radical_check(gb).tag == NO_DEPENDENCE
+
+
 def test_resumed_expansion_matches_fresh_one():
     # the last ideal has rational action matrices, so it resumes the walk over K
     gbs = [fixture_gb(name) for name in ("two_points", "double_point", "nilpotent_y")]
     gbs.append(_conjugate(fixture_gb("double_point"), Fraction(2)))
     for gb in gbs:
-        expansion = _Expansion(quotient_action(gb))
+        expansion = _Expansion(quotient_action(gb), 11)
         for order in (3, 7, 5, 11):
             assert expansion.solution(order) == solve_series(gb, order) == reference_solve_series(gb, order)
-    assert expansion.rows is None
+    assert all(isinstance(a, RatFunc) for a in expansion.act.unit())
 
 
 def test_constant_action_matrices_take_the_walk_over_q():
@@ -519,25 +563,21 @@ def test_constant_action_matrices_take_the_walk_over_q():
         assert all(c.is_constant() for g in disguised.gens for c in g.terms.values())
         conjugated = _conjugate(groebner_basis(plain, TermOrder.degrevlex(nvars)), Fraction(3, 2))
         for gb, over_q in ((disguised, True), (conjugated, False)):
-            assert (_Expansion(quotient_action(gb)).rows is not None) == over_q
+            assert all(type(a) is Fraction for a in quotient_action(gb).unit()) == over_q
             _assert_solve_matches_reference(gb, range(1, 9))
 
 
 def _count_steps(monkeypatch):
-    """Record each step of either walk: A_t·v over Q, D_t·v over K."""
+    """Record each step of the quotient action by the field of its vector:
+    A_t·v over Q, D_t·v over K."""
     steps = {"Q": 0, "K": 0}
-    q_apply, apply = series._q_apply, QuotientAction.apply
+    apply = QuotientAction.apply
 
-    def q_counting(rows, v):
-        steps["Q"] += 1
-        return q_apply(rows, v)
-
-    def k_counting(self, t, v):
-        steps["K"] += 1
+    def counting(self, t, v):
+        steps["K" if isinstance(v[0], RatFunc) else "Q"] += 1
         return apply(self, t, v)
 
-    monkeypatch.setattr(series, "_q_apply", q_counting)
-    monkeypatch.setattr(QuotientAction, "apply", k_counting)
+    monkeypatch.setattr(QuotientAction, "apply", counting)
     return steps
 
 
@@ -572,8 +612,10 @@ def test_series_walk_is_bounded(monkeypatch):
         with pytest.raises(ResourceLimit, match="series order 11 needs more than 55 monomials in 2 variables"):
             solve_series(gb, 11)
     assert steps == {"Q": 0, "K": 0}
-    # check-dradical walks to order 10, finds a kernel, and is refused at its
-    # resumed walk to order 14
-    with pytest.raises(ResourceLimit, match="series order 14"):
-        d_radical_check(fixture_gb("double_point"), order=10)
-    assert steps == {"Q": 54, "K": 0}
+    # check-dradical is refused before its first walk to order 10, since its
+    # deeper re-check would walk to order 14; the unit ideal is not
+    for gb in (fixture_gb("double_point"), _conjugate(fixture_gb("double_point"), Fraction(2))):
+        with pytest.raises(ResourceLimit, match="series order 14 needs more than 55 monomials"):
+            d_radical_check(gb, order=10)
+    assert steps == {"Q": 0, "K": 0}
+    assert d_radical_check(fixture_gb("unit"), order=10**6).tag == NO_DEPENDENCE
