@@ -12,7 +12,6 @@ shared freely across threads.
 from .arith import MultiPoly, RatFunc, format_poly, format_ratfunc, poly_gcd
 from .errors import (
     ArityError,
-    CyclicVectorNotFound,
     DegreeCapExceeded,
     DivisionByZero,
     InternalError,
@@ -111,7 +110,6 @@ __all__ = [
     "TruncationTooSmall",
     "ResourceLimit",
     "NormalizationFailed",
-    "CyclicVectorNotFound",
     "InternalError",
     "__version__",
 ]

@@ -846,14 +846,11 @@ def format_poly(p: MultiPoly) -> str:
 
 
 def _is_single_factor(p: MultiPoly) -> bool:
-    """True when format_poly(p) is one grammar factor (atom or power)."""
+    """True when a denominator other than 1 prints as one grammar factor."""
     if len(p.terms) != 1:
         return False
     expo, c = next(iter(p.terms.items()))
-    nfac = sum(1 for e in expo if e)
-    if nfac == 0:
-        return c > 0 and c.denominator == 1
-    return nfac == 1 and c == 1
+    return sum(1 for e in expo if e) == 1 and c == 1
 
 
 def format_ratfunc(f: RatFunc) -> str:

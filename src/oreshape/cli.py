@@ -16,7 +16,7 @@ Exit codes, each carried by its error class in errors as exit_code:
        non-cyclic class
     4  resource limits: degree cap, truncation order too small, a printed
        number above MAX_DIGITS digits
-    5  searches that exhausted their budget without an answer
+    5  a shear search that exhausted its budget without an answer
 """
 
 from __future__ import annotations
@@ -290,9 +290,7 @@ def cmd_gauge(args, inp: _Input):
     if args.cyclic_vector is not None:
         m = inp.swapped(parse_operator(args.cyclic_vector, inp.nvars))
     else:
-        m = cyclic_vector(
-            gb, seed=args.seed, degree_bound=args.degree_bound, max_attempts=args.max_attempts
-        )
+        m = cyclic_vector(gb, degree_bound=args.degree_bound, max_attempts=args.max_attempts)
     m_out = format_operator(inp.swapped(m))
     result = {"cyclic_vector": m_out, **_shape_result(inp, gauge_transform(gb, m))}
     return result, [f"cyclic vector: {m_out}", *_ideal_file_lines(inp.nvars, result["generators"])]
@@ -333,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f"guaranteed series order (default {trunc})",
             )
         if attempts is not None:
-            p.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
             p.add_argument("--max-attempts", type=int, default=attempts, help=f"candidate budget (default {attempts})")
         p.set_defaults(func=func)
         return p
@@ -380,6 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shear coefficients, one rational per y-variable: an integer, a/b or a decimal",
     )
     pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position", attempts=20)
+    pno.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
     pno.add_argument(
         "--coeff-range",
         type=int,

@@ -95,11 +95,6 @@ class NormalizationFailed(OreShapeError):
     exit_code = 5
 
 
-class CyclicVectorNotFound(OreShapeError):
-    """No cyclic vector was found within the attempt budget (inconclusive)."""
-    exit_code = 5
-
-
 class InternalError(OreShapeError):
     """An internal self-check failed: a result did not pass the test that
     certifies it.  This is a bug, never a property of the input."""

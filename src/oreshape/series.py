@@ -30,12 +30,16 @@ Q, and a column j that depends on the independent columns k_0 < k_1 < ...
 before it, as sum c_i times column k_i, gives the kernel vector
 e_j - sum c_i e_(k_i).  These are the vectors of the free columns of the
 reduced echelon form, one per dependent column.  A nontrivial kernel
-vector is re-verified against a deeper expansion (order + 4, continuing the
-walk of the first expansion rather than starting over) before being
-reported: first each kernel basis vector, then, if none survives, the
-first dependence among their deeper images, which names a combination
-whose image vanishes.  No verified vector means no dependence up to the
-stated bounds, a semi-decision, not a proof of D-radicality.
+vector is re-verified against a deeper expansion, to deep = max(order + 4,
+r*(degree_bound + 1)), continuing the walk of the first expansion, before
+being reported: first each kernel basis vector, then, if none survives,
+the first dependence among their deeper images, which names a combination
+whose image vanishes.  Over Q the verdict is exact for the degree bound: a
+false witness on a generic line through 0 is a nonzero exponential
+polynomial with at most r*(degree_bound + 1) coefficients, which by
+Polya's bound cannot vanish through order deep - 1.  Over K no verified
+vector means no dependence up to the stated bounds, a semi-decision, not a
+proof of D-radicality.
 """
 
 from __future__ import annotations
@@ -229,11 +233,13 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     Unknowns: coefficients of p_1..p_r of total degree <= degree_bound.
     Equations: every monomial of total degree < order - degree_bound in
     sum p_i f_i vanishes.  DependenceFound carries a witness re-verified
-    against a deeper expansion; NoDependenceUpToBound is only a statement
-    about these bounds."""
+    against a deeper expansion.  Over Q the verdict is exact for
+    degree_bound; over K NoDependenceUpToBound is only about these bounds."""
     if order <= degree_bound:
         raise TruncationTooSmall("series order must exceed degree_bound")
-    expansion = _Expansion(quotient_action(gb), order + 4)
+    act = quotient_action(gb)
+    deep = max(order + 4, act.r * (degree_bound + 1))
+    expansion = _Expansion(act, deep)
     sol = expansion.solution(order)
     r = sol.r
     nvars = gb.nvars
@@ -254,7 +260,7 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     kernel = _kernel_basis(rows, len(cols))
     if not kernel:
         return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
-    deep = expansion.solution(order + 4)
+    deep_sol = expansion.solution(deep)
 
     def polys_of(vec):
         polys = [{} for _ in range(r)]
@@ -266,9 +272,9 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     images = []
     for vec in kernel:
         polys = polys_of(vec)
-        image = TruncSeries(nvars, order + 4)
-        for p, f in zip(polys, deep.members):
-            image = image + TruncSeries(nvars, order + 4, p) * f
+        image = TruncSeries(nvars, deep)
+        for p, f in zip(polys, deep_sol.members):
+            image = image + TruncSeries(nvars, deep, p) * f
         if image.is_zero():
             return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys), degree_bound, order)
         images.append(image)

@@ -61,11 +61,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
+from math import comb, factorial
 
-from .arith import MultiPoly, RatFunc
+from .arith import RatFunc
 from .errors import (
-    CyclicVectorNotFound,
     InternalError,
     NormalizationFailed,
     NotCyclic,
@@ -246,10 +246,7 @@ def eliminate_dx(gb: GroebnerBasis, method: str = "krylov") -> OreOperator:
     if method == "elim-order":
         order = TermOrder.elim(gb.nvars)
         g2 = gb if gb.order == order else groebner_basis(gb.gens, order)
-        free = [g for g in g2 if all(g.is_free_of(i) for i in range(1, gb.nvars + 1))]
-        if not free:
-            raise NotNormalPosition("no Dy-free element in the elimination-order basis")
-        p = min(free, key=lambda g: g.order_in(0))
+        p = next(g for g in g2 if all(g.is_free_of(i) for i in range(1, gb.nvars + 1)))
         return p.monic(order.key)
     raise ValueError(f"unknown elimination method {method!r}")
 
@@ -376,57 +373,49 @@ def normalize_by_shear(
     )
 
 
-def cyclic_vector(
-    gb: GroebnerBasis,
-    seed: int = 0,
-    degree_bound: int = 2,
-    max_attempts: int = 200,
-) -> OreOperator:
-    """Search for M whose class generates the quotient under the Dx-action.
+def cyclic_vector(gb: GroebnerBasis, degree_bound: int = 2, max_attempts: int = 200) -> OreOperator:
+    """M whose class generates the quotient under the Dx-action.
 
-    Deterministic sweep first (single standard monomials, then combinations
-    with x-power multipliers x^d, 0 <= d <= degree_bound, in lexicographic
-    order of the power tuples), then random polynomial coefficients.  Every
-    candidate counts against max_attempts."""
+    Within max_attempts candidates: the standard monomials, then their
+    combinations with multipliers x^d, 0 <= d <= degree_bound, in
+    lexicographic order of the power tuples.  Then Katz's vectors (N. Katz,
+    "A simple algorithm for cyclic vectors", Amer. J. Math. 109, 1987), with
+    e_i the class of the i-th standard monomial, for a = 0, 1, ..., r(r - 1):
+
+        v(a) = sum_{j<r} (x - a)^j/j! * sum_{k<=j} (-1)^k*C(j, k)*Dx^k.e_(j-k)
+
+    One of them is cyclic.  By Leibniz and sum_l C(i, l)*C(l, m)*(-1)^(l-m)
+    = [i = m], Dx^i.v(a) at a = x is e_i, so det(v, Dx.v, ..., Dx^(r-1).v)
+    is a polynomial in a of degree <= r(r - 1) with value 1 at a = x, which
+    has at most r(r - 1) rational roots.  Each candidate is certified by its
+    Krylov walk; if none passes the theorem failed: InternalError."""
     act = quotient_action(gb)
     r = act.r
     nvars = gb.nvars
     if r == 0:
         raise NotCyclic("the quotient is trivial; no cyclic vector exists")
+    xvar = RatFunc.var(nvars, 0)
+    zero = RatFunc.zero(nvars)
+    searched = chain((OreOperator.monomial(nvars, dm) for dm in act.basis),
+                     (OreOperator(nvars, {dm: xvar**d for dm, d in zip(act.basis, powers)})
+                      for powers in product(range(degree_bound + 1), repeat=r)))
 
-    def candidates():
-        for dm in act.basis:
-            yield OreOperator.monomial(nvars, dm)
-        xvar = RatFunc.var(nvars, 0)
-        for powers in product(range(degree_bound + 1), repeat=r):
-            terms = {}
-            for dm, d in zip(act.basis, powers):
-                terms[dm] = xvar**d
-            yield OreOperator(nvars, terms)
-        while True:
-            terms = {}
-            for dm in act.basis:
-                poly = MultiPoly(
-                    nvars,
-                    {
-                        tuple([d] + [0] * nvars): Fraction(rng.randint(-3, 3))
-                        for d in range(degree_bound + 1)
-                    },
-                )
-                if not poly.is_zero():
-                    terms[dm] = RatFunc(poly)
-            if terms:
-                yield OreOperator(nvars, terms)
+    def katz():
+        s = [[zero] * r for _ in range(r)]  # s[j] = sum_k (-1)^k*C(j, k)*Dx^k.e_(j-k)
+        for i in range(r):
+            w = [RatFunc.one(nvars) if t == i else zero for t in range(r)]
+            for k in range(r - i):
+                w = act.apply(0, w) if k else w
+                s[i + k] = [c + (-1) ** k * comb(i + k, k) * b for c, b in zip(s[i + k], w)]
+        for a in range(r * (r - 1) + 1):
+            fs = [(xvar - a) ** j / factorial(j) for j in range(r)]
+            v = [sum((f * sj[t] for f, sj in zip(fs, s)), zero) for t in range(r)]
+            yield OreOperator(nvars, dict(zip(act.basis, v)))
 
-    rng = random.Random(seed)
-    attempts = 0
-    for M in candidates():
-        if attempts >= max_attempts:
-            break
-        attempts += 1
+    for M in chain(islice(searched, max_attempts), katz()):
         if len(_krylov_walk(act, act.coords(M))[0]) == r:
             return M
-    raise CyclicVectorNotFound(f"no cyclic vector found in {max_attempts} attempts")
+    raise InternalError(f"none of Katz's {r * (r - 1) + 1} vectors is cyclic")
 
 
 def gauge_transform(gb: GroebnerBasis, M: OreOperator) -> ShapeBasis:

@@ -447,6 +447,13 @@ def test_degree_cap():
     o = TermOrder.degrevlex(1)
     with pytest.raises(DegreeCapExceeded):
         groebner_basis([(dx - one) * (dx - 2 * one), dy], o, degree_cap=1)
+    # inputs within the cap whose completion forms an operator above it
+    y = OreOperator.from_coeff(RatFunc.var(1, 1))
+    gens = [dx * dy + y * dy * dy, dx * dx]
+    with pytest.raises(DegreeCapExceeded, match="completion produced order 3, cap is 2"):
+        groebner_basis(gens, o, degree_cap=2)
+    completed = groebner_basis(gens, o)
+    assert max(g.max_order() for g in completed.gens) == 3 and completed.dimension() == 4
 
 
 def test_all_zero_generators_rejected():

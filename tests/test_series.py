@@ -44,7 +44,6 @@ from oreshape.shape import (
 )
 
 from _helpers import (
-    MULTIPLICITIES,
     disguise,
     exp_series,
     monomials_below,
@@ -342,6 +341,25 @@ def test_solve_series_matches_reference_on_gauge_outputs():
     assert denominators > 0
 
 
+def test_katz_vector_gauges_where_no_swept_candidate_is_cyclic():
+    # Dx acts as the identity on <Dx - 1, Dy^n - 1>, so sum p_j(x)*e_j is
+    # cyclic only if p_0..p_(n-1) are independent over Q(y): nothing of
+    # x-degree <= 2 qualifies from n = 4 on, and Katz's vector, of x-degree
+    # n - 1, is what the search returns.  P' and Dy - Q' annihilate M(f).
+    for n in (4, 5):
+        nvars, ops = parse_ideal_file(f"Dx - 1\nDy^{n} - 1\n")
+        gb = groebner_basis(ops, TermOrder.degrevlex(nvars))
+        m = cyclic_vector(gb)
+        assert max(c.degree() for c in m.terms.values()) == n - 1
+        sb = gauge_transform(gb, m)
+        assert sb.r == n
+        for f in solve_series(gb, 2 * n + 4).members:
+            g = m.apply(f)
+            assert sb.P().apply(g).is_zero()
+            assert OreOperator.D(1, 1).apply(g).agrees_with(sb.Q(1).apply(g))
+        _assert_solve_matches_reference(groebner_basis(sb.generators(), gb.order), range(3, 9))
+
+
 def test_coordinate_with_no_value_at_origin_is_a_pole():
     # The annihilator of exp(x^2/(x + y)).  NF(Dy) = -x^2/(x + y)^2 has no
     # value at 0, though its numerator has no constant term either; read
@@ -502,18 +520,18 @@ def test_dependence_verdict_matches_the_multiplicities():
     # are K-dependent exactly when P has a multiple root.  A shear keeps that
     # and may leave normal position; conjugation by x + c keeps it and moves
     # the walk from Q to K.  A false witness makes sum p_i*f_i a nonzero
-    # exponential polynomial that vanishes through total degree 13, the
-    # default re-check.  On a line through 0 where its exponents differ it
-    # has at most 4*r coefficients (deg p_i <= 3), so by Polya's bound it
-    # vanishes there to order at most 4*r - 1.  That rules it out for the
-    # r <= 3 sampled here, not for r = 4 (next test); the check through
-    # total degree 15 below rules it out up to r = 4.
+    # exponential polynomial that vanishes through total degree deep - 1,
+    # the re-check, with deep = max(order + 4, 4*r) at degree_bound 3.  On a
+    # line through 0 where its exponents differ it has at most 4*r
+    # coefficients (deg p_i <= 3), so by Polya's bound it vanishes there to
+    # order at most 4*r - 1 < deep.  The sample reaches r = 4, where the
+    # default order + 4 = 14 alone would not rule it out; the check through
+    # total degree 15 below confirms each witness found.
     rng = random.Random(104)
-    patterns = [m for m in MULTIPLICITIES if sum(m) <= 3]
-    for i in range(12):
+    for i in range(16):
         kind = ("plain", "shear", "conjugate")[i % 3]
         nvars = 1 if kind == "conjugate" else rng.choice((1, 2))
-        gens, mults = shape_form_ideal(rng, nvars, patterns)
+        gens, mults = shape_form_ideal(rng, nvars)
         gb = groebner_basis(gens, TermOrder.degrevlex(nvars))
         if kind == "shear":
             gb = shear_ideal(gb, tuple(Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(nvars)))
@@ -528,12 +546,11 @@ def test_dependence_verdict_matches_the_multiplicities():
                 assert combo_coefficient(v.witness, sol.members, expo) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="the re-check at order + 4 admits false witnesses from r = 4 on")
 def test_no_dependence_among_four_exponentials():
     # The solutions 1, e^x, e^(2x), e^(3x) are K-independent, but at the
     # default bounds 16 polynomial coefficients of degree <= 3 in x leave a
-    # sum that vanishes through total degree 13 (Hermite-Pade), so the
-    # re-check at order 14 passes it.
+    # sum that vanishes through total degree 13 (Hermite-Pade), so a
+    # re-check at order 14 would pass it.  The re-check at 4*r = 16 does not.
     (dx, dy), one = sym(1)
     gb = groebner_basis([dx * (dx - one) * (dx - 2 * one) * (dx - 3 * one), dy], TermOrder.degrevlex(1))
     assert d_radical_check(gb).tag == NO_DEPENDENCE
