@@ -290,7 +290,7 @@ def cmd_gauge(args, inp: _Input):
     if args.cyclic_vector is not None:
         m = inp.swapped(parse_operator(args.cyclic_vector, inp.nvars))
     else:
-        m = cyclic_vector(gb, degree_bound=args.degree_bound, max_attempts=args.max_attempts)
+        m = cyclic_vector(gb)
     m_out = format_operator(inp.swapped(m))
     result = {"cyclic_vector": m_out, **_shape_result(inp, gauge_transform(gb, m))}
     return result, [f"cyclic vector: {m_out}", *_ideal_file_lines(inp.nvars, result["generators"])]
@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, main_var=False, trunc=None, attempts=None):
+    def add(name, func, help_, main_var=False, trunc=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="ideal file path, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit a JSON object")
@@ -330,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="N",
                 help=f"guaranteed series order (default {trunc})",
             )
-        if attempts is not None:
-            p.add_argument("--max-attempts", type=int, default=attempts, help=f"candidate budget (default {attempts})")
         p.set_defaults(func=func)
         return p
 
@@ -376,8 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="C1,..,CN",
         help="shear coefficients, one rational per y-variable: an integer, a/b or a decimal",
     )
-    pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position", attempts=20)
+    pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position")
     pno.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
+    pno.add_argument("--max-attempts", type=int, default=20, help="candidate budget (default 20)")
     pno.add_argument(
         "--coeff-range",
         type=int,
@@ -387,19 +386,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add("solve", cmd_solve, "truncated series basis of the solution space", trunc=8)
     add("wronskian", cmd_wronskian, "Wronskian of the solution basis in the main variable", main_var=True, trunc=8)
-    pga = add("gauge", cmd_gauge, "shape basis of the gauge transform by a cyclic vector", main_var=True, attempts=200)
+    pga = add("gauge", cmd_gauge, "shape basis of the gauge transform by a cyclic vector", main_var=True)
     pga.add_argument(
         "--cyclic-vector",
         metavar="EXPR",
         default=None,
         help="operator whose class to use (default: search for one)",
-    )
-    pga.add_argument(
-        "--degree-bound",
-        type=int,
-        default=2,
-        metavar="D",
-        help="max x-degree of candidate multipliers in the search (default 2)",
     )
     return top
 

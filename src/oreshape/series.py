@@ -30,16 +30,17 @@ Q, and a column j that depends on the independent columns k_0 < k_1 < ...
 before it, as sum c_i times column k_i, gives the kernel vector
 e_j - sum c_i e_(k_i).  These are the vectors of the free columns of the
 reduced echelon form, one per dependent column.  A nontrivial kernel
-vector is re-verified against a deeper expansion, to deep = max(order + 4,
-r*(degree_bound + 1)), continuing the walk of the first expansion, before
-being reported: first each kernel basis vector, then, if none survives,
-the first dependence among their deeper images, which names a combination
-whose image vanishes.  Over Q the verdict is exact for the degree bound: a
-false witness on a generic line through 0 is a nonzero exponential
-polynomial with at most r*(degree_bound + 1) coefficients, which by
-Polya's bound cannot vanish through order deep - 1.  Over K no verified
-vector means no dependence up to the stated bounds, a semi-decision, not a
-proof of D-radicality.
+vector is re-verified against a deeper expansion, to deep = order + 4, over
+Q to deep = max(order + 4, r*(degree_bound + 1)), continuing the walk of
+the first expansion, before being reported: first each kernel basis
+vector, then, if none survives, the first dependence among their deeper
+images, which names a combination whose image vanishes.  Over Q the
+verdict is exact for the degree bound: a false witness on a generic line
+through 0 is a nonzero exponential polynomial with at most
+r*(degree_bound + 1) coefficients, which by Polya's bound cannot vanish
+through order deep - 1.  Over K no such bound holds, so no verified vector
+means no dependence up to the stated bounds, a semi-decision, not a proof
+of D-radicality.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     if order <= degree_bound:
         raise TruncationTooSmall("series order must exceed degree_bound")
     act = quotient_action(gb)
-    deep = max(order + 4, act.r * (degree_bound + 1))
+    deep = order + 4 if act.q_rows is None else max(order + 4, act.r * (degree_bound + 1))
     expansion = _Expansion(act, deep)
     sol = expansion.solution(order)
     r = sol.r

@@ -373,46 +373,51 @@ def normalize_by_shear(
     )
 
 
-def cyclic_vector(gb: GroebnerBasis, degree_bound: int = 2, max_attempts: int = 200) -> OreOperator:
-    """M whose class generates the quotient under the Dx-action.
+def _katz_vectors(act: QuotientAction):
+    """Katz's vectors v(a), a = 0, 1, ..., r(r - 1), one of which is cyclic.
 
-    Within max_attempts candidates: the standard monomials, then their
-    combinations with multipliers x^d, 0 <= d <= degree_bound, in
-    lexicographic order of the power tuples.  Then Katz's vectors (N. Katz,
-    "A simple algorithm for cyclic vectors", Amer. J. Math. 109, 1987), with
-    e_i the class of the i-th standard monomial, for a = 0, 1, ..., r(r - 1):
+    (N. Katz, "A simple algorithm for cyclic vectors", Amer. J. Math. 109,
+    1987.)  With e_i the class of the i-th standard monomial,
 
         v(a) = sum_{j<r} (x - a)^j/j! * sum_{k<=j} (-1)^k*C(j, k)*Dx^k.e_(j-k)
 
-    One of them is cyclic.  By Leibniz and sum_l C(i, l)*C(l, m)*(-1)^(l-m)
-    = [i = m], Dx^i.v(a) at a = x is e_i, so det(v, Dx.v, ..., Dx^(r-1).v)
-    is a polynomial in a of degree <= r(r - 1) with value 1 at a = x, which
-    has at most r(r - 1) rational roots.  Each candidate is certified by its
-    Krylov walk; if none passes the theorem failed: InternalError."""
+    By Leibniz and sum_l C(i, l)*C(l, m)*(-1)^(l-m) = [i = m], Dx^i.v(a) at
+    a = x is e_i, so det(v, Dx.v, ..., Dx^(r-1).v) is a polynomial in a of
+    degree <= r(r - 1) with value 1 at a = x, which has at most r(r - 1)
+    rational roots."""
+    r, nvars = act.r, act.nvars
+    xvar = RatFunc.var(nvars, 0)
+    zero = RatFunc.zero(nvars)
+    s = [[zero] * r for _ in range(r)]  # s[j] = sum_k (-1)^k*C(j, k)*Dx^k.e_(j-k)
+    for i in range(r):
+        w = [RatFunc.one(nvars) if t == i else zero for t in range(r)]
+        for k in range(r - i):
+            w = act.apply(0, w) if k else w
+            s[i + k] = [c + (-1) ** k * comb(i + k, k) * b for c, b in zip(s[i + k], w)]
+    for a in range(r * (r - 1) + 1):
+        fs = [(xvar - a) ** j / factorial(j) for j in range(r)]
+        v = [sum((f * sj[t] for f, sj in zip(fs, s)), zero) for t in range(r)]
+        yield OreOperator(nvars, dict(zip(act.basis, v)))
+
+
+def cyclic_vector(gb: GroebnerBasis) -> OreOperator:
+    """M whose class generates the quotient under the Dx-action.
+
+    Among the first 200 candidates: the standard monomials, then their
+    combinations with multipliers x^d, 0 <= d <= 2, in lexicographic order
+    of the power tuples.  Then Katz's vectors (_katz_vectors), one of which
+    is cyclic.  Each candidate is certified by its Krylov walk; if none
+    passes the theorem failed: InternalError."""
     act = quotient_action(gb)
     r = act.r
     nvars = gb.nvars
     if r == 0:
         raise NotCyclic("the quotient is trivial; no cyclic vector exists")
     xvar = RatFunc.var(nvars, 0)
-    zero = RatFunc.zero(nvars)
     searched = chain((OreOperator.monomial(nvars, dm) for dm in act.basis),
                      (OreOperator(nvars, {dm: xvar**d for dm, d in zip(act.basis, powers)})
-                      for powers in product(range(degree_bound + 1), repeat=r)))
-
-    def katz():
-        s = [[zero] * r for _ in range(r)]  # s[j] = sum_k (-1)^k*C(j, k)*Dx^k.e_(j-k)
-        for i in range(r):
-            w = [RatFunc.one(nvars) if t == i else zero for t in range(r)]
-            for k in range(r - i):
-                w = act.apply(0, w) if k else w
-                s[i + k] = [c + (-1) ** k * comb(i + k, k) * b for c, b in zip(s[i + k], w)]
-        for a in range(r * (r - 1) + 1):
-            fs = [(xvar - a) ** j / factorial(j) for j in range(r)]
-            v = [sum((f * sj[t] for f, sj in zip(fs, s)), zero) for t in range(r)]
-            yield OreOperator(nvars, dict(zip(act.basis, v)))
-
-    for M in chain(islice(searched, max_attempts), katz()):
+                      for powers in product(range(3), repeat=r)))
+    for M in chain(islice(searched, 200), _katz_vectors(act)):
         if len(_krylov_walk(act, act.coords(M))[0]) == r:
             return M
     raise InternalError(f"none of Katz's {r * (r - 1) + 1} vectors is cyclic")

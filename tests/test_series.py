@@ -519,14 +519,16 @@ def test_dependence_verdict_matches_the_multiplicities():
     # Ground truth by construction (_helpers.shape_form_ideal): the solutions
     # are K-dependent exactly when P has a multiple root.  A shear keeps that
     # and may leave normal position; conjugation by x + c keeps it and moves
-    # the walk from Q to K.  A false witness makes sum p_i*f_i a nonzero
-    # exponential polynomial that vanishes through total degree deep - 1,
-    # the re-check, with deep = max(order + 4, 4*r) at degree_bound 3.  On a
-    # line through 0 where its exponents differ it has at most 4*r
-    # coefficients (deg p_i <= 3), so by Polya's bound it vanishes there to
-    # order at most 4*r - 1 < deep.  The sample reaches r = 4, where the
-    # default order + 4 = 14 alone would not rule it out; the check through
-    # total degree 15 below confirms each witness found.
+    # the walk from Q to K.  Over Q a false witness makes sum p_i*f_i a
+    # nonzero exponential polynomial that vanishes through total degree
+    # deep - 1, the re-check, with deep = max(order + 4, 4*r) at
+    # degree_bound 3.  On a line through 0 where its exponents differ it has
+    # at most 4*r coefficients (deg p_i <= 3), so by Polya's bound it
+    # vanishes there to order at most 4*r - 1 < deep.  The sample reaches
+    # r = 4, where the default order + 4 = 14 alone would not rule it out.
+    # Over K the re-check stays at order + 4 and proves nothing; the sampled
+    # conjugates pass there.  The check through total degree 15 below
+    # confirms each witness found.
     rng = random.Random(104)
     for i in range(16):
         kind = ("plain", "shear", "conjugate")[i % 3]

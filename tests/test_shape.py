@@ -516,22 +516,21 @@ def test_cyclic_vector_for_exp_pair():
     assert sb.P() == dx * dx - 2 * dx + one
 
 
-def test_cyclic_vector_budget_hands_over_to_katz():
+def test_katz_vectors_hold_a_cyclic_one():
     # Dx acts as the identity on <Dx - 1, Dy^2 - Dy>, so neither 1 nor Dy is
-    # cyclic.  A budget that stops before the sweep reaches x*Dy + 1 hands
-    # over to Katz's v(0) = (1 - x)*e_0 + x*e_1, whose Wronskian is 1.
+    # cyclic; the sweep reaches x*Dy + 1 first, while Katz's v(0) =
+    # (1 - x)*e_0 + x*e_1 is cyclic too, its Wronskian being 1.
     (dx, dy), one = sym(1)
     x = OreOperator.from_coeff(RatFunc.var(1, 0))
     gb = fixture_gb("exp_pair")
-    for max_attempts in (0, 1, 2, 3):
-        m = cyclic_vector(gb, max_attempts=max_attempts)
-        assert m == x * dy - x + one, max_attempts
-        assert gauge_transform(gb, m).r == 2
-    assert cyclic_vector(gb, max_attempts=4) == x * dy + one
-    # with no budget at all Katz's vectors answer on every fixture
-    for name in ("two_points", "double_point", "nilpotent_y", "axes"):
-        gb = fixture_gb(name)
-        assert gauge_transform(gb, cyclic_vector(gb, max_attempts=0)).r == gb.dimension()
+    assert next(shape._katz_vectors(quotient_action(gb))) == x * dy - x + one
+    assert gauge_transform(gb, x * dy - x + one).r == 2
+    # on every fixture one of the r(r - 1) + 1 vectors passes the Krylov walk
+    for name in ("two_points", "double_point", "nilpotent_y", "axes", "exp_pair"):
+        act = quotient_action(fixture_gb(name))
+        katz = list(shape._katz_vectors(act))
+        assert len(katz) == act.r * (act.r - 1) + 1
+        assert any(len(shape._krylov_walk(act, act.coords(m))[0]) == act.r for m in katz), name
 
 
 def test_cyclic_vector_rejects_trivial_quotient():
