@@ -38,12 +38,24 @@ m, which is all Buchberger's criterion needs (Kandri-Rody and Weispfenning,
 JSC 1990; Gebauer and Moeller, JSC 1988).  The reduced basis is unique, so
 skipping changes no result.  A cap on the derivative order of new basis
 elements turns runaway completions into a clean DegreeCapExceeded.
+
+Constant coefficients commute with every D, so for an ideal K[D]*J with J
+in Q[D] a shift D^delta * g only shifts g's keys, and every S-polynomial,
+remainder and normal form stays in Q[D] (Kandri-Rody and Weispfenning).
+groebner_basis decides the field once: when every coefficient of every
+input is constant, its working set holds Fraction coefficients (operators
+over Q) and makes the same pairs, reductions and values as over K.  A
+GroebnerBasis decides the same for its gens (over_q); its leads are then
+over Q, and left_reduce takes a constant operand over Q and back.  One
+loop and one kernel serve both fields; _shift and _monic branch on it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
+from operator import add
 
 from .arith import grevlex_key
 from .errors import ArityError, DegreeCapExceeded, NotZeroDimensional
@@ -106,8 +118,39 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(i <= j for i, j in zip(a, b))
 
 
+def _is_q(g: OreOperator) -> bool:
+    """Whether g is kept over Q: gb's operators over Q hold Fractions."""
+    return type(next(iter(g.terms.values()), None)) is Fraction
+
+
+def _to_q(g: OreOperator) -> OreOperator | None:
+    """g over Q, if it is already or every coefficient is constant; else None."""
+    if _is_q(g):
+        return g
+    if all(c.is_constant() for c in g.terms.values()):
+        return OreOperator._make(g.nvars, {dm: c.num.terms[(0,) * (g.nvars + 1)] for dm, c in g.terms.items()})
+    return None
+
+
+def _shift(g: OreOperator, delta: tuple[int, ...]) -> OreOperator:
+    """D^delta * g; over Q a shift of the keys."""
+    if not _is_q(g):
+        return g.shift(delta)
+    return OreOperator._make(g.nvars, {tuple(map(add, dm, delta)): c for dm, c in g.terms.items()})
+
+
+def _monic(g: OreOperator, keyfn) -> OreOperator:
+    """g divided by its leading coefficient, over g's field."""
+    if not _is_q(g):
+        return g.monic(keyfn)
+    _, lc = g.leading(keyfn)
+    return g if lc == 1 else OreOperator._make(g.nvars, {dm: c / lc for dm, c in g.terms.items()})
+
+
 def _leads(gens, order: TermOrder):
-    return [(g, *g.leading(order.key)) for g in gens if not g.is_zero()]
+    """(g, lm, lc) of each nonzero generator, with lc None where it is 1."""
+    lead = [(g, *g.leading(order.key)) for g in gens if g.terms]
+    return [(g, lm, None if (lc == 1 if type(lc) is Fraction else lc.is_one()) else lc) for g, lm, lc in lead]
 
 
 def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
@@ -126,8 +169,9 @@ def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
     lead = gens._cache["lead"] if cached else _leads(gens, order)
     if any(g.nvars != f.nvars for g, _, _ in lead):
         raise ArityError("generator arity differs from operand")
+    fq = _to_q(f) if lead and _is_q(lead[0][0]) else None
     key = order.key
-    r = dict(f.terms)
+    r = dict((f if fq is None else fq).terms)
     heap = [(tuple(-k for k in key(dm)), dm) for dm in r]
     heapify(heap)
     while heap:
@@ -137,10 +181,10 @@ def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
             continue  # cancelled after it was pushed
         for g, lm, lc in lead:
             if _divides(lm, dm):
-                q = -c if lc.is_one() else -c / lc
+                q = -c if lc is None else -c / lc
                 del r[dm]  # lm(D^delta * g) = dm with coefficient lc
                 # arith.add_into's merge, inline: a new key also goes onto the heap
-                for v, a in g.shift(tuple(i - j for i, j in zip(dm, lm))).terms.items():
+                for v, a in _shift(g, tuple(i - j for i, j in zip(dm, lm))).terms.items():
                     if v == dm:
                         continue
                     s = r.get(v)
@@ -152,7 +196,8 @@ def left_reduce(f: OreOperator, gens, order: TermOrder) -> OreOperator:
                     else:
                         del r[v]
                 break
-    return OreOperator._make(f.nvars, r)
+    # a constant f over K was reduced over Q; the public constructor lifts it back
+    return OreOperator._make(f.nvars, r) if fq is None or fq is f else OreOperator(f.nvars, r)
 
 
 def _spoly(g1: OreOperator, g2: OreOperator, order: TermOrder) -> OreOperator:
@@ -162,20 +207,24 @@ def _spoly(g1: OreOperator, g2: OreOperator, order: TermOrder) -> OreOperator:
     m = tuple(max(a, b) for a, b in zip(lm1, lm2))
     d1 = tuple(a - b for a, b in zip(m, lm1))
     d2 = tuple(a - b for a, b in zip(m, lm2))
-    return g1.shift(d1) - g2.shift(d2)
+    return _shift(g1, d1) - _shift(g2, d2)
 
 
 class GroebnerBasis:
     """A reduced left Groebner basis: monic generators, each fully reduced
-    against the others, sorted by leading monomial ascending."""
+    against the others, sorted by leading monomial ascending; over_q when
+    every coefficient is constant (gens stay over K, the leads go over Q)."""
 
-    __slots__ = ("nvars", "order", "gens", "_cache")
+    __slots__ = ("nvars", "order", "gens", "over_q", "_cache")
 
     def __init__(self, nvars: int, order: TermOrder, gens):
+        gens = tuple(gens)
+        q = [_to_q(g) for g in gens]
         self.nvars = nvars
         self.order = order
-        self.gens = tuple(gens)
-        self._cache = {"lead": _leads(self.gens, order)}
+        self.gens = tuple(OreOperator(nvars, g.terms) for g in gens)  # over K
+        self.over_q = all(g is not None for g in q)
+        self._cache = {"lead": _leads(q if self.over_q else self.gens, order)}
 
     def leading_monomials(self):
         return [g.leading(self.order.key)[0] for g in self.gens]
@@ -246,22 +295,18 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
     Every generator entering the working basis (inputs included) must stay
     within `degree_cap` total derivative order.
     """
-    work = []
-    nvars = None
-    for g in gens:
-        if g.is_zero():
-            continue
-        if nvars is None:
-            nvars = g.nvars
-        elif g.nvars != nvars:
+    given = [g for g in gens if not g.is_zero()]
+    if not given:
+        raise ValueError("ideal needs at least one nonzero generator")
+    nvars = given[0].nvars
+    for g in given:
+        if g.nvars != nvars:
             raise ArityError("generators have mixed arities")
         if g.max_order() > degree_cap:
             raise DegreeCapExceeded(f"generator order {g.max_order()} exceeds cap {degree_cap}")
-        gm = g.monic(order.key)
-        if gm not in work:
-            work.append(gm)
-    if not work:
-        raise ValueError("ideal needs at least one nonzero generator")
+    q = [_to_q(g) for g in given]
+    work = [_monic(g, order.key) for g in (q if all(h is not None for h in q) else given)]
+    work = list(dict.fromkeys(work))  # without repeats, in order
 
     lms = [g.leading(order.key)[0] for g in work]
 
@@ -294,7 +339,7 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
                 f"completion produced order {h.max_order()}, cap is {degree_cap}"
             )
         k = len(work)
-        work.append(h.monic(order.key))
+        work.append(_monic(h, order.key))
         lms.append(work[k].leading(order.key)[0])
         for i2 in range(k):
             heappush(pairs, pair(i2, k))
@@ -313,6 +358,6 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
     for i, g in enumerate(survivors):
         others = survivors[:i] + survivors[i + 1 :]
         h = left_reduce(g, others, order) if others else g
-        reduced.append(h.monic(order.key))
+        reduced.append(_monic(h, order.key))
     reduced.sort(key=lambda g: order.key(g.leading(order.key)[0]))
     return GroebnerBasis(nvars, order, reduced)

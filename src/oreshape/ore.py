@@ -65,8 +65,8 @@ class OreOperator:
 
     @classmethod
     def _make(cls, nvars: int, terms: dict[tuple[int, ...], RatFunc]) -> "OreOperator":
-        """Trusted constructor: `terms` must already be canonical (tuple keys,
-        nonzero RatFunc values of arity nvars) and becomes the new value's own dict."""
+        """Trusted constructor: `terms` must already be canonical (tuple keys, nonzero
+        RatFunc values of arity nvars; Fractions in gb's operators over Q) and becomes its own dict."""
         op = object.__new__(cls)
         op.nvars = nvars
         op.terms = terms

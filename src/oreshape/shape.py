@@ -33,14 +33,14 @@ position), which keeps intermediate coefficient growth down and the whole
 computation deterministic; the results do not depend on the pivots, since
 coefficients in an independent family are unique.
 
-The field is a property of the quotient action.  When every entry of every
-A_D is constant, as for K[D]*J with J in Q[D], QuotientAction also keeps the
-A_D over Q (q_rows) and gives the class of 1 over Q.  Every D.v from it is
-constant too, so its derivative is 0 and apply steps it by A_D*v over Q;
-the Krylov walk runs over the field of its start vector, with the first
-nonzero entry as pivot over Q.  On constants every entry has degree 0, so
-the echelon over K picks the same pivots: lam, P and the Qi are the same.
-coords and matrices stay over K.
+The field is the basis's (see gb).  Over a basis kept over Q, as for
+K[D]*J with J in Q[D], QuotientAction reads the A_D over Q (q_rows) off
+normal forms over Q and gives the class of 1 over Q.  Every D.v from it is
+constant too, so apply steps it by A_D*v alone; the Krylov walk runs over
+the field of its start vector, with the first nonzero entry as pivot over
+Q.  On constants every entry has degree 0, so the echelon over K picks the
+same pivots: lam, P and the Qi are the same.  coords stays over K, and the
+A_D over K (matrices) are built on first use.
 
 Shears are judged without a completion.  The shear by c (OreOperator.shear)
 is an automorphism phi of K[D] that maps K onto K, with phi^-1(Dx) = L =
@@ -78,25 +78,32 @@ from .ore import OreOperator
 class QuotientAction:
     """Coordinates and derivative action on K[D]/I for zero-dimensional I."""
 
-    __slots__ = ("gb", "basis", "index", "matrices", "q_rows")
+    __slots__ = ("gb", "basis", "q_rows", "_matrices")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.basis = gb.quotient_basis()
-        self.index = {dm: k for k, dm in enumerate(self.basis)}
-        r = len(self.basis)
-        self.matrices = []
-        for t in range(gb.nvars + 1):
-            cols = []
-            for dm in self.basis:
-                up = list(dm)
-                up[t] += 1
-                nf = gb.reduce(OreOperator.monomial(gb.nvars, tuple(up)))
-                cols.append(self._standard_coords(nf))
-            self.matrices.append([[cols[j][i] for j in range(r)] for i in range(r)])
+        self._matrices = None
         self.q_rows = None  # each A_t over Q as rows of its nonzero entries (j, a)
-        if all(a.is_constant() for A in self.matrices for row in A for a in row):
-            self.q_rows = [[[(j, _value(a)) for j, a in enumerate(row) if a] for row in A] for A in self.matrices]
+        if gb.over_q:
+            self.q_rows = [[[(j, a) for j, nf in enumerate(nfs) if (a := nf.get(dm))] for dm in self.basis]
+                           for nfs in self._normal_forms(Fraction(1))]
+
+    def _normal_forms(self, one) -> list:
+        """Terms of NF(D_t * m), each symbol t by each standard monomial m, over one's field."""
+        nvars = self.nvars
+        return [[self.gb.reduce(OreOperator._make(nvars, {dm[:t] + (dm[t] + 1,) + dm[t + 1:]: one})).terms
+                 for dm in self.basis] for t in range(nvars + 1)]
+
+    @property
+    def matrices(self) -> list:
+        """Each A_t over K, as rows; built on first use, which over Q only
+        gauge_transform and cyclic_vector make."""
+        if self._matrices is None:
+            zero = RatFunc.zero(self.nvars)
+            self._matrices = [[[nf.get(dm, zero) for nf in nfs] for dm in self.basis]
+                              for nfs in self._normal_forms(RatFunc.one(self.nvars))]
+        return self._matrices
 
     @property
     def r(self) -> int:
@@ -106,21 +113,16 @@ class QuotientAction:
     def nvars(self) -> int:
         return self.gb.nvars
 
-    def _standard_coords(self, op: OreOperator) -> list[RatFunc]:
-        v = [RatFunc.zero(self.gb.nvars) for _ in self.basis]
-        for dm, c in op.terms.items():
-            v[self.index[dm]] = c
-        return v
-
     def unit(self) -> list:
         """Coordinates of the class of 1, over Q when q_rows is set; [] for
-        the unit ideal."""
-        v = self.coords(OreOperator.one(self.nvars))
-        return v if self.q_rows is None else [_value(c) for c in v]
+        the unit ideal.  Otherwise 1 is the first standard monomial."""
+        one = Fraction(1) if self.q_rows is not None else RatFunc.one(self.nvars)
+        return [one - one if any(dm) else one for dm in self.basis]
 
     def coords(self, op: OreOperator) -> list[RatFunc]:
         """Coordinates of the residue class of an arbitrary operator."""
-        return self._standard_coords(self.gb.reduce(op))
+        nf = self.gb.reduce(op).terms
+        return [nf.get(dm, RatFunc.zero(self.nvars)) for dm in self.basis]
 
     def apply(self, t: int, v: list) -> list:
         """Action of D_t on a coordinate vector: derivative plus matrix part
@@ -130,11 +132,6 @@ class QuotientAction:
         A = self.matrices[t]
         return [sum((A[i][j] * vj for j, vj in enumerate(v) if vj and A[i][j]), vi.derivative(t))
                 for i, vi in enumerate(v)]
-
-
-def _value(c: RatFunc) -> Fraction:
-    """The rational value of a constant of K: its numerator's one term, if any."""
-    return sum(c.num.terms.values(), Fraction(0))
 
 
 def quotient_action(gb: GroebnerBasis) -> QuotientAction:

@@ -283,11 +283,17 @@ def shape_form_ideal(rng, nvars, patterns=MULTIPLICITIES):
 
 def disguise(rng, gens, rat_coeffs):
     """A copy of gens hidden by two random elementary steps g_t += q * g_s
-    (q of order at most one), which keep the left ideal the same."""
+    (q of order at most one), which keep the left ideal the same.  q has
+    rational coefficients, polynomial ones for rat_coeffs False, and
+    integer constants for rat_coeffs None."""
+    from oreshape.ore import OreOperator
+
     gens = list(gens)
     for _ in range(2):
         t, s = rng.sample(range(len(gens)), 2)
-        q = rand_operator(rng, gens[0].nvars, max_terms=2, max_ord=1, rat_coeffs=rat_coeffs)
+        q = rand_operator(rng, gens[0].nvars, max_terms=2, max_ord=1, rat_coeffs=bool(rat_coeffs))
+        if rat_coeffs is None:
+            q = OreOperator(q.nvars, {dm: rng.randint(-3, 3) for dm in q.terms})
         gens[t] = gens[t] + q * gens[s]
     return gens
 

@@ -23,7 +23,7 @@ from oreshape.errors import OreShapeError
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
-from oreshape.series import MAX_SERIES_MONOMIALS
+from oreshape.series import MAX_DEPENDENCE_ENTRIES, MAX_SERIES_MONOMIALS
 
 from _helpers import rand_operator
 
@@ -424,6 +424,20 @@ def test_series_walk_past_the_monomial_bound_exits_4(capsys, monkeypatch, argv, 
     assert json.loads(out)["error"] == {
         "type": "ResourceLimit",
         "message": f"series order {walked} needs more than {MAX_SERIES_MONOMIALS} monomials in 2 variables",
+    }
+
+
+def test_oversized_dependence_system_exits_4(capsys, monkeypatch):
+    # 95,703 rows (monomials below total degree 437 in x, y) by 20 columns:
+    # refused before the first walk, which alone would take seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-dradical", "-", "--trunc", "440", "--json",
+                         stdin="Dx^2 - 3*Dx + 2\nDy - Dx\n", monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and "Traceback" not in err
+    assert json.loads(out)["error"] == {
+        "type": "ResourceLimit",
+        "message": f"dependence system of 95703 x 20 exceeds {MAX_DEPENDENCE_ENTRIES} entries",
     }
 
 

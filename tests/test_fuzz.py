@@ -31,15 +31,26 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oreshape import gb
 from oreshape.cli import _exit_code, main
 from oreshape.errors import OreShapeError
-from oreshape.gb import TermOrder, groebner_basis
+from oreshape.gb import TermOrder, _spoly, groebner_basis
 from oreshape.ore import OreOperator
 from oreshape.parsing import parse_ideal_file, parse_operator
-from oreshape.series import solve_series
-from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action
+from oreshape.series import NO_DEPENDENCE, d_radical_check, solve_series
+from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action, shear_ideal
 
-from _helpers import disguise, double_point_ideal, reference_solve_series, two_point_ideal
+from _helpers import (
+    MULTIPLICITIES,
+    disguise,
+    double_point_ideal,
+    rand_operator,
+    reference_groebner_basis,
+    reference_left_reduce,
+    reference_solve_series,
+    shape_form_ideal,
+    two_point_ideal,
+)
 
 DOCUMENTED = {0, 2, 3, 4, 5}
 
@@ -133,24 +144,29 @@ def test_cli_exits_with_documented_codes(text, command, as_json):
         assert json.loads(stdout.getvalue())["command"] == command
 
 
+# How constant_ideals disguises its generators: the rat_coeffs of _helpers.disguise
+STEPS = {"plain": "none", "constant": None, "polynomial": False, "rational": True}
+
+
 @st.composite
 def constant_ideals(draw):
-    """(nvars, generators) of two points or a double point, each a
-    constant-coefficient ideal K[D]*J, possibly disguised: its generators
-    then have polynomial or rational coefficients, its reduced basis not."""
+    """(nvars, generators, steps) of two points or a double point, each a
+    constant-coefficient ideal K[D]*J, possibly disguised by steps with
+    constant, polynomial or rational coefficients (STEPS): its generators
+    then may have non-constant coefficients, its reduced basis not."""
     nvars = draw(st.integers(1, 2))
     rng = random.Random(draw(st.integers(0, 2**32)))
     gens = draw(st.sampled_from([two_point_ideal, double_point_ideal]))(rng, nvars)
-    steps = draw(st.sampled_from([None, False, True]))
-    if steps is not None:
-        gens = disguise(rng, gens, rat_coeffs=steps)
-    return nvars, gens
+    steps = draw(st.sampled_from(sorted(STEPS)))
+    if steps != "plain":
+        gens = disguise(rng, gens, rat_coeffs=STEPS[steps])
+    return nvars, gens, steps
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(constant_ideals(), st.integers(1, 8))
 def test_walk_over_q_matches_the_walk_over_k(ideal, order):
-    nvars, gens = ideal
+    nvars, gens, _ = ideal
     gb = groebner_basis(gens, TermOrder.degrevlex(nvars))
     act = quotient_action(gb)
     over_q, over_k = act.unit(), act.coords(OreOperator.one(nvars))
@@ -161,3 +177,44 @@ def test_walk_over_q_matches_the_walk_over_k(ideal, order):
     assert _shape_from_krylov(act, over_q) == _shape_from_krylov(act, over_k)
     for c in product((Fraction(0), Fraction(1), Fraction(-2)), repeat=nvars):
         assert _krylov_walk(act, over_q, c)[0] == _krylov_walk(act, over_k, c)[0]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(constant_ideals(), st.sampled_from(["degrevlex", "lex", "elim"]), st.integers(0, 2**32))
+def test_completion_over_q_matches_the_completion_over_k(ideal, kind, seed):
+    # groebner_basis completes over Q exactly when every input coefficient is
+    # constant: undisguised and constant-step ideals always, rational steps
+    # only where their coefficients cancel.  reference_groebner_basis runs
+    # gb's own _spoly and left_reduce on operators over K, so it is the
+    # completion over K.  The reduced basis of K[D]*J lies in Q[D] anyway.
+    nvars, gens, steps = ideal
+    order = TermOrder(kind, nvars)
+    fields = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_spoly", lambda g1, g2, o: fields.append(gb._is_q(g1)) or _spoly(g1, g2, o))
+        basis = groebner_basis(gens, order)
+    constant = all(c.is_constant() for g in gens for c in g.terms.values())
+    assert constant or steps in ("polynomial", "rational")
+    assert fields == [constant] * len(fields)
+    assert basis == reference_groebner_basis(gens, order) and basis.over_q
+    rng = random.Random(seed)
+    for _ in range(3):
+        f = rand_operator(rng, nvars, max_terms=4, max_ord=3)
+        for h in (f, OreOperator(nvars, {dm: rng.randint(-3, 3) for dm in f.terms})):
+            assert basis.reduce(h) == reference_left_reduce(h, basis.gens, order)
+
+
+RADICAL = [m for m in MULTIPLICITIES if max(m) == 1]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 2), st.integers(0, 2**32), st.sampled_from([0, 1, -2]))
+def test_radical_shape_form_ideals_have_no_dependence(nvars, seed, c):
+    # A radical shape-form J (every mu_k = 1) has r exponential solutions
+    # with distinct exponents, K-independent, also under a shear; over Q the
+    # re-check is exact for the degree bound, so no witness may survive it.
+    # r = 4 only at nvars 1, where its system is 35 x 16, not 84 x 80.
+    gens, _ = shape_form_ideal(random.Random(seed), nvars, RADICAL[: 4 - nvars])
+    basis = shear_ideal(groebner_basis(gens, TermOrder.degrevlex(nvars)), (Fraction(c),) * nvars)
+    assert quotient_action(basis).q_rows is not None
+    assert d_radical_check(basis).tag == NO_DEPENDENCE, ([str(g) for g in gens], c)

@@ -23,6 +23,7 @@ from oreshape.parsing import parse_ideal_file
 from oreshape.shape import shape_basis
 
 from _helpers import (
+    assert_canonical,
     disguised_two_point_ideal,
     rand_operator,
     rand_ratfunc,
@@ -258,10 +259,46 @@ def test_completion_and_membership_go_through_left_reduce(monkeypatch):
     assert formed and all(any(h is f for f in reduced) for h in formed)
     del reduced[:]
     assert G.contains(G.gens[0]) and reduced == [G.gens[0]]
-    del reduced[:]
+    # over Q too: the S-polynomials hold Fractions, and each one itself
+    # reaches left_reduce, whose result has is_zero like any operator
+    del reduced[:], formed[:]
     G = groebner_basis([(dx - one) * (dx - 2 * one), dy - dx], o)
+    assert formed and all(gb._is_q(h) and any(h is f for f in reduced) for h in formed)
     sb = shape_basis(G)
     assert [f for f in reduced if f in sb.generators()] == list(sb.generators())
+
+
+def test_completion_field_is_decided_from_the_inputs(monkeypatch):
+    # Constant inputs complete over Q; one rational coefficient keeps the
+    # whole completion over K.  Both give the same basis, over K in gens
+    # and over Q in its leads, and every reduction against it gives the
+    # same canonical operator whatever the field of the operand.
+    fields = []
+    real_spoly = gb._spoly
+    monkeypatch.setattr(gb, "_spoly", lambda g1, g2, o: fields.append(gb._is_q(g1)) or real_spoly(g1, g2, o))
+    (dx, dy), (x, y), one = sym(1)
+    o = TermOrder.degrevlex(1)
+    gens = [(dx - one) * (dx - 2 * one), dy - dx]
+    G = groebner_basis(gens, o)
+    assert fields and all(fields) and G.over_q
+    del fields[:]
+    rational = OreOperator.from_coeff(RatFunc.var(1, 0) / (RatFunc.var(1, 0) + 1)) * (dy - dx)
+    G2 = groebner_basis(gens + [rational], o)
+    assert fields and not any(fields)
+    assert G2 == G == reference_groebner_basis(gens + [rational], o) and G2.over_q
+    for g in G.gens:
+        assert_canonical(g)
+    assert all(gb._is_q(g) for g, _, _ in G._cache["lead"])
+    rng = random.Random(23)
+    for _ in range(10):
+        f = rand_operator(rng, 1, max_terms=4, max_ord=3)
+        for h in (f, OreOperator(1, {dm: rng.randint(-3, 3) for dm in f.terms})):
+            nf = G.reduce(h)
+            assert_canonical(nf)
+            assert nf == reference_left_reduce(h, G.gens, o)
+    # a basis with a non-constant coefficient stays over K
+    G3 = groebner_basis([dx - y, dy - x], o)
+    assert not G3.over_q and not any(gb._is_q(g) for g, _, _ in G3._cache["lead"])
 
 
 def test_reduce_dx_squared_by_dx_minus_one():

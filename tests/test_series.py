@@ -616,6 +616,34 @@ def test_dependence_check_expands_each_monomial_once(monkeypatch):
     assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0}
 
 
+def test_dependence_system_is_bounded(monkeypatch):
+    # The system's size is known before the walk: one row per monomial below
+    # total degree order - degree_bound, r columns per monomial of degree
+    # <= degree_bound, in nvars + 1 variables.  The bound admits a system of
+    # exactly MAX_DEPENDENCE_ENTRIES and refuses one entry more, before any
+    # step of the walk, over Q and over K; the unit ideal has no system.
+    # The largest systems of the golden corpus and the benchmark are 84 x 40.
+    assert 84 * 40 <= series.MAX_DEPENDENCE_ENTRIES
+    systems = []
+    monkeypatch.setattr(series, "_kernel_basis", lambda rows, ncols: systems.append((len(rows), ncols)) or [])
+    steps = _count_steps(monkeypatch)
+    n2 = groebner_basis(two_point_ideal(random.Random(5), 2), TermOrder.degrevlex(2))
+    cases = [(fixture_gb("two_points"), 3, 10), (_conjugate(fixture_gb("two_points"), Fraction(2)), 2, 9), (n2, 2, 7)]
+    for gb, degree_bound, order in cases:
+        nvars, r = gb.nvars, gb.dimension()
+        size = (comb(order - degree_bound + nvars, nvars + 1), r * comb(degree_bound + nvars + 1, nvars + 1))
+        monkeypatch.setattr(series, "MAX_DEPENDENCE_ENTRIES", size[0] * size[1])
+        d_radical_check(gb, degree_bound, order)
+        assert systems.pop() == size
+        monkeypatch.setattr(series, "MAX_DEPENDENCE_ENTRIES", size[0] * size[1] - 1)
+        steps.update(Q=0, K=0)
+        with pytest.raises(ResourceLimit, match=rf"dependence system of {size[0]} x {size[1]} exceeds"):
+            d_radical_check(gb, degree_bound, order)
+        assert steps == {"Q": 0, "K": 0}
+    monkeypatch.setattr(series, "MAX_DEPENDENCE_ENTRIES", 0)
+    assert d_radical_check(fixture_gb("unit")).tag == NO_DEPENDENCE
+
+
 def test_series_walk_is_bounded(monkeypatch):
     # the bound admits exactly the largest orders the README states
     for nvars, top in ((1, 446), (2, 83), (3, 37)):
