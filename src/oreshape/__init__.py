@@ -16,7 +16,6 @@ from .errors import (
     DivisionByZero,
     InternalError,
     NonOrdinaryOrigin,
-    NormalizationFailed,
     NotCyclic,
     NotNormalPosition,
     NotZeroDimensional,
@@ -109,7 +108,6 @@ __all__ = [
     "DegreeCapExceeded",
     "TruncationTooSmall",
     "ResourceLimit",
-    "NormalizationFailed",
     "InternalError",
     "__version__",
 ]

@@ -11,12 +11,12 @@ Exit codes, each carried by its error class in errors as exit_code:
     1  internal self-check failed (a bug)
     2  malformed input: parse errors, arity errors, bad flags or file shape
     3  precondition failures: infinite-dimensional quotient, not in normal
-       position, origin not ordinary, an applied operator with a
-       coefficient that has a pole at the origin, division by zero,
-       non-cyclic class
+       position (for normalize: no rational shear reaches it), origin not
+       ordinary, an applied operator with a coefficient that has a pole at
+       the origin, division by zero, non-cyclic class
     4  resource limits: degree cap, truncation order too small, a printed
-       number above MAX_DIGITS digits
-    5  a shear search that exhausted its budget without an answer
+       number above MAX_DIGITS digits, a series walk, dependence system or
+       shear grid past its bound
 """
 
 from __future__ import annotations
@@ -259,9 +259,7 @@ def cmd_shear(args, inp: _Input):
 
 
 def cmd_normalize(args, inp: _Input):
-    c, sheared = normalize_by_shear(
-        inp.ideal(), seed=args.seed, max_attempts=args.max_attempts, coeff_range=args.coeff_range
-    )
+    c, sheared = normalize_by_shear(inp.ideal())
     result, lines = _shear_result(inp, c, sheared)
     return result, ["shear: " + ",".join(result["shear"])] + lines
 
@@ -374,16 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="C1,..,CN",
         help="shear coefficients, one rational per y-variable: an integer, a/b or a decimal",
     )
-    pno = add("normalize", cmd_normalize, "find a shear putting the ideal in normal position")
-    pno.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
-    pno.add_argument("--max-attempts", type=int, default=20, help="candidate budget (default 20)")
-    pno.add_argument(
-        "--coeff-range",
-        type=int,
-        default=5,
-        metavar="B",
-        help="random shear coefficients drawn from [-B, B] (default 5)",
-    )
+    add("normalize", cmd_normalize, "find a shear putting the ideal in normal position")
     add("solve", cmd_solve, "truncated series basis of the solution space", trunc=8)
     add("wronskian", cmd_wronskian, "Wronskian of the solution basis in the main variable", main_var=True, trunc=8)
     pga = add("gauge", cmd_gauge, "shape basis of the gauge transform by a cyclic vector", main_var=True)
@@ -398,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args):
     """Reject out-of-range numbers."""
-    for flag, least in (("max_attempts", 1), ("degree_bound", 0), ("coeff_range", 0), ("trunc", 1)):
+    for flag, least in (("degree_bound", 0), ("trunc", 1)):
         value = getattr(args, flag, least)
         if value < least:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")

@@ -56,8 +56,8 @@ class NotZeroDimensional(OreShapeError):
 
 
 class NotNormalPosition(OreShapeError):
-    """The elimination operator has order strictly less than the quotient
-    dimension, so no shape basis exists for this ideal as given."""
+    """The elimination operator has order below the quotient dimension, so
+    no shape basis exists for this ideal as given (from normalize: sheared)."""
     exit_code = 3
 
 
@@ -74,10 +74,11 @@ class DegreeCapExceeded(OreShapeError):
 
 
 class ResourceLimit(OreShapeError):
-    """A result is too large to hand out: a printed number would have more
-    than arith.MAX_DIGITS digits in its numerator or denominator, or a
-    series expansion would walk more than series.MAX_SERIES_MONOMIALS
-    monomials."""
+    """A result or a search past its bound: a printed number with more than
+    arith.MAX_DIGITS digits in its numerator or denominator, a series walk
+    of more than series.MAX_SERIES_MONOMIALS monomials, or a check-dradical
+    system or normalize shear grid past series.MAX_DEPENDENCE_WORK or
+    shape.MAX_SHEAR_WORK, refused before it starts."""
     exit_code = 4
 
 
@@ -85,14 +86,6 @@ class TruncationTooSmall(OreShapeError):
     """A series computation cannot guarantee even one correct coefficient at
     the requested truncation order."""
     exit_code = 4
-
-
-class NormalizationFailed(OreShapeError):
-    """No sampled shear reached normal position within the attempt budget.
-
-    Inconclusive by design: exhausting the budget proves nothing about
-    whether a suitable shear exists."""
-    exit_code = 5
 
 
 class InternalError(OreShapeError):

@@ -15,8 +15,8 @@ It is read before num: the reduced x^2/(x + y)^2 also has num constant 0,
 but has no value at 0.  Over Q (see shape) a coordinate is its own value.
 An expansion that would walk more than MAX_SERIES_MONOMIALS monomials,
 check-dradical's deeper re-check included, is a ResourceLimit raised
-before its first step, and so is a D-radical system of more than
-MAX_DEPENDENCE_ENTRIES entries.
+before its first step, and so is a D-radical system whose solving would
+cost more than MAX_DEPENDENCE_WORK.
 
 The Wronskian in x is computed by cofactor expansion: the ring of truncated
 series has zero divisors, so elimination with division is not available.
@@ -62,9 +62,11 @@ NO_DEPENDENCE = "NoDependenceUpToBound"
 # Monomials of total degree below the order in nvars + 1 variables that one
 # expansion may walk: --trunc 446 at nvars 1, 83 at nvars 2, 37 at nvars 3.
 MAX_SERIES_MONOMIALS = 100_000
-# Entries, rows times columns, of check-dradical's dependence system: for
-# r = 2 at the default degree bound, --trunc 102 at nvars 1, 26 at nvars 2.
-MAX_DEPENDENCE_ENTRIES = 100_000
+# Work of check-dradical's dependence system, rows x columns x min(rows,
+# columns), about the field operations of _kernel_basis: 1 to 2 us per unit
+# (Python 3.11 on a shared 2-vCPU x86-64 VM), so about 8 s at most.  For
+# r = 2 at the default degree bound, --trunc 143 at nvars 1, 26 at nvars 2.
+MAX_DEPENDENCE_WORK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,10 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     expansion = _Expansion(act, deep)
     nrows = comb(order - degree_bound + gb.nvars, gb.nvars + 1)
     ncols = act.r * comb(degree_bound + gb.nvars + 1, gb.nvars + 1)
-    if nrows * ncols > MAX_DEPENDENCE_ENTRIES:
-        raise ResourceLimit(f"dependence system of {nrows} x {ncols} exceeds {MAX_DEPENDENCE_ENTRIES} entries")
+    work = nrows * ncols * min(nrows, ncols)
+    if work > MAX_DEPENDENCE_WORK:
+        raise ResourceLimit(f"dependence system of {nrows} x {ncols} needs {work} units of work, "
+                            f"more than {MAX_DEPENDENCE_WORK}")
     sol = expansion.solution(order)
     r = sol.r
     nvars = gb.nvars

@@ -49,7 +49,12 @@ exactly when sum phi^-1(a_k)*L^k lies in I: [1], [Dx], ..., [Dx^(r-1)] are
 K-independent in K[D]/phi(I) exactly when [1], [L], ..., [L^(r-1)] are
 K-independent in K[D]/I.  So phi(I) is in normal position exactly when the
 walk of L from the class of 1, on the quotient I already has, reaches r.
-The ci are constants, so L.v = Dx.v + sum ci*Dyi.v.
+The ci are constants, so L.v = Dx.v + sum ci*Dyi.v.  With v the class of
+1 the test is det(v, L.v, ..., L^(r-1).v) != 0, and L^k.v has degree <= k
+in c: the determinant is a polynomial in c over K of total degree <= d =
+r(r - 1)/2.  By Schwartz-Zippel (Schwartz, JACM 1980; Zippel, EUROSAM 1979)
+a nonzero one does not vanish on all of S^n when S has d + 1 values, so
+when that grid fails no rational shear puts the ideal in normal position.
 
 shape_basis certifies its answer with n + 1 reductions, not a second
 completion: see its docstring for why J = <shape generators> inside I
@@ -65,12 +70,7 @@ from itertools import chain, islice, product
 from math import comb, factorial
 
 from .arith import RatFunc
-from .errors import (
-    InternalError,
-    NormalizationFailed,
-    NotCyclic,
-    NotNormalPosition,
-)
+from .errors import InternalError, NotCyclic, NotNormalPosition, ResourceLimit
 from .gb import GroebnerBasis, TermOrder, groebner_basis
 from .ore import OreOperator
 
@@ -87,22 +87,28 @@ class QuotientAction:
         self.q_rows = None  # each A_t over Q as rows of its nonzero entries (j, a)
         if gb.over_q:
             self.q_rows = [[[(j, a) for j, nf in enumerate(nfs) if (a := nf.get(dm))] for dm in self.basis]
-                           for nfs in self._normal_forms(Fraction(1))]
+                           for nfs in self._normal_forms()]
 
-    def _normal_forms(self, one) -> list:
-        """Terms of NF(D_t * m), each symbol t by each standard monomial m, over one's field."""
+    def _normal_forms(self) -> list:
+        """Terms of NF(D_t * m), each symbol t by each standard monomial m,
+        over the basis's field."""
         nvars = self.nvars
+        one = Fraction(1) if self.gb.over_q else RatFunc.one(nvars)
         return [[self.gb.reduce(OreOperator._make(nvars, {dm[:t] + (dm[t] + 1,) + dm[t + 1:]: one})).terms
                  for dm in self.basis] for t in range(nvars + 1)]
 
     @property
     def matrices(self) -> list:
         """Each A_t over K, as rows; built on first use, which over Q only
-        gauge_transform and cyclic_vector make."""
+        gauge_transform and cyclic_vector make, by lifting q_rows."""
         if self._matrices is None:
             zero = RatFunc.zero(self.nvars)
-            self._matrices = [[[nf.get(dm, zero) for nf in nfs] for dm in self.basis]
-                              for nfs in self._normal_forms(RatFunc.one(self.nvars))]
+            if self.q_rows is None:
+                self._matrices = [[[nf.get(dm, zero) for nf in nfs] for dm in self.basis]
+                                  for nfs in self._normal_forms()]
+            else:
+                self._matrices = [[[RatFunc.const(self.nvars, row[j]) if j in row else zero for j in range(self.r)]
+                                   for row in map(dict, rows)] for rows in self.q_rows]
         return self._matrices
 
     @property
@@ -339,35 +345,44 @@ def shear_ideal(gb: GroebnerBasis, c) -> GroebnerBasis:
     return groebner_basis([g.shear(c) for g in gb.gens], gb.order)
 
 
-def normalize_by_shear(
-    gb: GroebnerBasis,
-    seed: int = 0,
-    max_attempts: int = 20,
-    coeff_range: int = 5,
-) -> tuple[tuple[Fraction, ...], GroebnerBasis]:
-    """Search for a shear y <- y + c*x putting the ideal into normal
-    position; returns c and the sheared basis.
+# Grid points times r^3, 100 times that over K: about the field operations
+# of the grid's walks, 3 us each over Q and 25 to 160 us over K when they
+# reach r - 1 (Python 3.11, shared 2-vCPU x86-64 VM), so the largest
+# admitted grid takes about 9 s over Q and 5 s over K.
+MAX_SHEAR_WORK = 3_000_000
 
-    Tries c = 0 first, then seeded uniform integer vectors with entries in
-    [-coeff_range, coeff_range].  Every candidate counts against the budget;
-    exhausting it, or trying all (2*coeff_range + 1)^n distinct candidates,
-    raises NormalizationFailed, which is inconclusive (an untried c, or one
-    outside the range, might work).  Each candidate is judged by in_normal_position(gb,
-    c), so only the shear returned is completed, and none when c = 0 passes."""
-    rng = random.Random(seed)
-    tried = set()
-    for attempt in range(max_attempts):
-        c = tuple(Fraction(rng.randint(-coeff_range, coeff_range) if attempt else 0) for _ in range(gb.nvars))
-        if c in tried:
+
+def _shear_grid(nvars: int, r: int, over_q: bool):
+    """S^n by max |ci|, then lexicographically, for S = {0, 1, -1, 2, -2, ...}
+    of d + 1 values, d = r(r - 1)/2 (see the module docstring); refused past
+    MAX_SHEAR_WORK before anything is yielded."""
+    d = r * (r - 1) // 2
+    if (d + 1) ** nvars * r**3 * (1 if over_q else 100) > MAX_SHEAR_WORK:
+        raise ResourceLimit(f"a shear grid of {d + 1}^{nvars} points at quotient dimension {r} over "
+                            f"{'Q' if over_q else 'K'} needs more than {MAX_SHEAR_WORK} units of work")
+    values = [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(d + 1)]
+    yield from sorted(product(values, repeat=nvars), key=lambda c: (max(map(abs, c)), c))
+
+
+def normalize_by_shear(gb: GroebnerBasis) -> tuple[tuple[Fraction, ...], GroebnerBasis]:
+    """A shear y <- y + c*x putting the ideal into normal position: c and the
+    sheared basis.  It judges c = 0, then 19 draws of random.Random(0) from
+    [-5, 5]^n (fixed: the golden outputs record the shears they give), then
+    the grid that holds a good shear if any exists (_shear_grid), skipping
+    repeats; NotNormalPosition when the grid fails too.  Each c is judged by in_normal_position(gb, c), so
+    only the shear returned is completed, and none when c = 0 passes."""
+    act = quotient_action(gb)
+    rng = random.Random(0)
+    draws = [(0,) * gb.nvars] + [tuple(rng.randint(-5, 5) for _ in range(gb.nvars)) for _ in range(19)]
+    judged = set()
+    for c in chain(draws, _shear_grid(gb.nvars, act.r, act.q_rows is not None)):
+        if c in judged:
             continue
-        tried.add(c)
+        judged.add(c)
+        c = tuple(map(Fraction, c))
         if in_normal_position(gb, c):
             return c, shear_ideal(gb, c)
-        if len(tried) == (2 * coeff_range + 1) ** gb.nvars:
-            break
-    raise NormalizationFailed(
-        f"no sampled shear reached normal position in {max_attempts} attempts"
-    )
+    raise NotNormalPosition(f"no rational shear puts the ideal in normal position ({len(judged)} judged)")
 
 
 def _katz_vectors(act: QuotientAction):

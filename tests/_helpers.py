@@ -162,7 +162,7 @@ def reference_series_diff(f, index):
 # ---------------------------------------------------------------------------
 
 
-def rand_poly(rng, nvars, max_deg=2, max_terms=3, coeff_range=3, nonzero=False):
+def rand_poly(rng, nvars, max_deg=2, max_terms=3, coeff_bound=3, nonzero=False):
     from oreshape.arith import MultiPoly
 
     while True:
@@ -171,7 +171,7 @@ def rand_poly(rng, nvars, max_deg=2, max_terms=3, coeff_range=3, nonzero=False):
             expo = [0] * (nvars + 1)
             for _ in range(rng.randint(0, max_deg)):
                 expo[rng.randrange(nvars + 1)] += 1
-            c = rng.randint(-coeff_range, coeff_range)
+            c = rng.randint(-coeff_bound, coeff_bound)
             if c:
                 terms[tuple(expo)] = terms.get(tuple(expo), 0) + c
         p = MultiPoly(nvars, {e: Fraction(c) for e, c in terms.items() if c})
@@ -304,12 +304,12 @@ def disguised_two_point_ideal(rng, nvars, rat_coeffs):
     return disguise(rng, two_point_ideal(rng, nvars), rat_coeffs)
 
 
-def rand_series(rng, nvars, order=5, coeff_range=4):
+def rand_series(rng, nvars, order=5, coeff_bound=4):
     from oreshape.ore import TruncSeries
 
     coeffs = {}
     for expo in monomials_below(nvars, order):
-        c = rng.randint(-coeff_range, coeff_range)
+        c = rng.randint(-coeff_bound, coeff_bound)
         if c:
             coeffs[expo] = Fraction(c)
     return TruncSeries(nvars, order, coeffs)
@@ -571,28 +571,30 @@ def reference_in_normal_position(gb):
     return eliminate_dx(gb, "krylov").order_in(0) == gb.dimension()
 
 
-def reference_normalize_by_shear(gb, seed=0, max_attempts=20, coeff_range=5):
-    """The former shape.normalize_by_shear: the same candidates, each judged
-    by completing its shear and testing the completed basis."""
+def reference_normalize_by_shear(gb):
+    """The former shape.normalize_by_shear and the grid after it: c = 0,
+    then 19 draws of random.Random(0) from [-5, 5]^n, then every c in S^n,
+    S the d + 1 integers nearest 0 (ties to the positive one) for d =
+    r(r - 1)/2, by max |ci| and then lexicographically; repeats skipped,
+    each judged by completing its shear and testing the completed basis.
+    NotNormalPosition when none passes."""
     import random
+    from itertools import product
 
-    from oreshape.errors import NormalizationFailed
+    from oreshape.errors import NotNormalPosition
     from oreshape.shape import shear_ideal
 
-    rng = random.Random(seed)
-    tried = set()
-    for attempt in range(max_attempts):
-        if attempt == 0:
-            c = (Fraction(0),) * gb.nvars
-        else:
-            c = tuple(Fraction(rng.randint(-coeff_range, coeff_range)) for _ in range(gb.nvars))
-        if c in tried:
-            continue
-        tried.add(c)
+    nvars, r = gb.nvars, gb.dimension()
+    d = r * (r - 1) // 2
+    rng = random.Random(0)
+    draws = [(0,) * nvars] + [tuple(rng.randint(-5, 5) for _ in range(nvars)) for _ in range(19)]
+    grid = sorted(product(range(-(d // 2), (d + 1) // 2 + 1), repeat=nvars), key=lambda c: (max(map(abs, c)), c))
+    for c in dict.fromkeys(draws + grid):
+        c = tuple(map(Fraction, c))
         sheared = shear_ideal(gb, c)
         if reference_in_normal_position(sheared):
             return c, sheared
-    raise NormalizationFailed(f"no sampled shear reached normal position in {max_attempts} attempts")
+    raise NotNormalPosition("no shear in the grid")
 
 
 # ---------------------------------------------------------------------------

@@ -308,12 +308,12 @@ def test_divexact_over_q():
         divexact(x, MultiPoly.zero(1))
 
 
-def _dense_poly(rng, nvars, deg, coeff_range=9):
+def _dense_poly(rng, nvars, deg, coeff_bound=9):
     """Nonzero polynomial holding about 70% of the monomials of total degree
     at most deg, with random integer coefficients."""
     monomials = [e for e in itertools.product(range(deg + 1), repeat=nvars + 1) if sum(e) <= deg]
     while True:
-        p = MultiPoly(nvars, {e: Fraction(rng.randint(-coeff_range, coeff_range))
+        p = MultiPoly(nvars, {e: Fraction(rng.randint(-coeff_bound, coeff_bound))
                               for e in monomials if rng.random() < 0.7})
         if not p.is_zero():
             return p

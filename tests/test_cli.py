@@ -23,13 +23,21 @@ from oreshape.errors import OreShapeError
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
-from oreshape.series import MAX_DEPENDENCE_ENTRIES, MAX_SERIES_MONOMIALS
+from oreshape.series import MAX_DEPENDENCE_WORK, MAX_SERIES_MONOMIALS
 
 from _helpers import rand_operator
 
 TWO_POINTS = "Dx^2 - 3*Dx + 2\nDy\n"
 EXP_PAIR = "Dx - 1\nDy^2 - Dy\n"
 NILPOTENT_Y = "Dx - 1\nDy^2\n"
+# exp(a*x + b*y) at (a, b) = (-7, 0), (-9, 1), (-4, 2), (-1, 3), (-6, 4), (-9, 5):
+# no shear in [-5, 5] separates the x-rates a + c*b, and -6 does
+SIX_POINTS = (
+    "Dx - 13/120*Dy^5 + 23/24*Dy^4 - 37/24*Dy^3 - 95/24*Dy^2 + 133/20*Dy + 7\n"
+    "Dy^6 - 15*Dy^5 + 85*Dy^4 - 225*Dy^3 + 274*Dy^2 - 120*Dy\n"
+)
+# every monomial of degree 2 at nvars 3: no shear puts it in normal position
+FAT_POINT_3 = "# nvars 3\nDx^2\nDx*Dy1\nDx*Dy2\nDx*Dy3\nDy1^2\nDy1*Dy2\nDy1*Dy3\nDy2^2\nDy2*Dy3\nDy3^2\n"
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -196,8 +204,18 @@ def test_normalize_command(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0].startswith("shear: ")
     assert lines[1] == "# nvars 1"
-    code, _, err = run(capsys, "normalize", path, "--max-attempts", "1")
-    assert code == 5 and "attempts" in err
+    # a shear past the first 20 candidates, from the grid
+    code, out, _ = run(capsys, "normalize", write(tmp_path, SIX_POINTS, "six.ideal"))
+    assert code == 0 and out.splitlines()[:2] == ["shear: -6", "# nvars 1"]
+    # no shear at all: the whole grid fails
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", write(tmp_path, FAT_POINT_3, "fat.ideal"))
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == "" and err.startswith("error: no rational shear puts the ideal in normal position")
+    # the search has no knobs: nothing in it is random, and it always ends
+    for flag in ("--seed", "--degree-bound", "--trunc"):
+        with pytest.raises(SystemExit):
+            main(["normalize", path, flag, "1"])
 
 
 def test_solve_and_trunc(capsys, tmp_path):
@@ -229,7 +247,7 @@ def test_gauge_command(capsys, tmp_path):
     code, out_auto, _ = run(capsys, "gauge", path)
     assert code == 0 and out_auto == out
     # the search has no knobs: nothing in it is random, and it always ends
-    for flag in ("--seed", "--max-attempts", "--degree-bound"):
+    for flag in ("--seed", "--degree-bound", "--trunc"):
         with pytest.raises(SystemExit):
             main(["gauge", path, flag, "1"])
 
@@ -253,10 +271,10 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("wronskian", "-", "--trunc", "1"), TWO_POINTS, 4),
         # over Q the re-check goes to r*(degree_bound + 1) = 64 at r = 16: C(67, 4) monomials
         (("check-dradical", "-"), "# nvars 3\nDx^2 - 1\nDy1^2 - 1\nDy2^2 - 1\nDy3^2 - 1\n", 4),
-        (("normalize", "-", "--max-attempts", "1"), EXP_PAIR, 5),
+        (("normalize", "-"), "Dx^2\nDx*Dy\nDy^2\n", 3),
+        (("normalize", "-"), "Dx\n", 3),
         (("eliminate", "-"), "", 2),
         (("check-dradical", "-", "--degree-bound", "-1"), NILPOTENT_Y, 2),
-        (("normalize", "-", "--coeff-range", "-1"), TWO_POINTS, 2),
         (("solve", "-", "--trunc", "0"), TWO_POINTS, 2),
         (("solve", "-", "--trunc", "-1"), TWO_POINTS, 2),
         (("wronskian", "-", "--trunc", "-3"), TWO_POINTS, 2),
@@ -288,7 +306,6 @@ EXIT_CODES = {
     "DegreeCapExceeded": 4,
     "TruncationTooSmall": 4,
     "ResourceLimit": 4,
-    "NormalizationFailed": 5,
 }
 
 
@@ -437,8 +454,17 @@ def test_oversized_dependence_system_exits_4(capsys, monkeypatch):
     assert code == 4 and "Traceback" not in err
     assert json.loads(out)["error"] == {
         "type": "ResourceLimit",
-        "message": f"dependence system of 95703 x 20 exceeds {MAX_DEPENDENCE_ENTRIES} entries",
+        "message": f"dependence system of 95703 x 20 needs 38281200 units of work, more than {MAX_DEPENDENCE_WORK}",
     }
+    # 595 x 160 has fewer entries than 95,703 x 20 but needs more work than
+    # the two points at --trunc 100 (4,753 x 20); solved, it took about 30 s
+    roots = "*".join(f"(Dx - {k})" for k in range(16))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-dradical", "-", "--trunc", "37", "--json",
+                         stdin=f"{roots}\nDy - Dx^2 + 3*Dx\n", monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 5
+    assert code == 4 and "Traceback" not in err
+    assert json.loads(out)["error"]["message"].startswith("dependence system of 595 x 160 needs 15232000 units")
 
 
 def test_json_mode_formats_no_series_lines(capsys, monkeypatch):

@@ -23,10 +23,10 @@ from oreshape.arith import MultiPoly, RatFunc
 from oreshape.errors import (
     ArityError,
     InternalError,
-    NormalizationFailed,
     NotCyclic,
     NotNormalPosition,
     NotZeroDimensional,
+    ResourceLimit,
 )
 from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis
 from oreshape.ore import OreOperator
@@ -95,6 +95,26 @@ def test_action_matrices_for_two_points():
     # Dx * 1 = Dx, Dx * Dx = Dx^2 = 3 Dx - 2 in the quotient
     assert act.matrices[0] == [[zero, -two], [one, three]]
     assert act.matrices[1] == [[zero, zero], [zero, zero]]
+
+
+def test_action_matrices_over_q_lift_q_rows(monkeypatch):
+    # over Q the matrices over K are q_rows lifted to constants: asking for
+    # them reduces nothing again, and column j of A_t is still the
+    # coordinates of D_t times the j-th standard monomial
+    bases = [gb for gb in _fixture_and_golden_bases() + [_three_points()] if gb.over_q and gb.dimension()]
+    assert len(bases) >= 5
+    real = GroebnerBasis.reduce
+    for gb in bases:
+        act = QuotientAction(gb)
+        reductions = []
+        monkeypatch.setattr(GroebnerBasis, "reduce", lambda self, f: reductions.append(f) or real(self, f))
+        matrices = act.matrices
+        monkeypatch.undo()
+        assert reductions == []
+        nvars = gb.nvars
+        for t, A in enumerate(matrices):
+            cols = [act.coords(OreOperator.D(nvars, t) * OreOperator.monomial(nvars, dm)) for dm in act.basis]
+            assert A == [list(row) for row in zip(*cols)]
 
 
 def test_action_matches_reduction():
@@ -376,40 +396,10 @@ def test_normalize_returns_zero_shift_when_already_normal():
 
 def test_normalize_finds_working_shift():
     gb = fixture_gb("exp_pair")
-    params, out = normalize_by_shear(gb, seed=0)
+    params, out = normalize_by_shear(gb)
     assert in_normal_position(out)
     assert out.gens == shear_ideal(gb, params).gens
     assert params != (Fraction(0),)
-
-
-def test_normalize_budget_exhaustion():
-    # with a single attempt only the zero shift is tried, and it fails here
-    with pytest.raises(NormalizationFailed):
-        normalize_by_shear(fixture_gb("exp_pair"), max_attempts=1)
-
-
-def test_normalize_stops_once_every_shear_in_range_is_tried(monkeypatch):
-    # The fat point <Dx^2, Dx*Dy, Dy^2> is in normal position under no shear:
-    # the walk of Dx + c*Dy from 1 ends at step 2 < r = 3.  coeff_range B
-    # offers 2B + 1 shears, and the search ends once it has judged each of
-    # them, with the message the budget gives, however large the budget.
-    (dx, dy), one = sym(1)
-    gb = groebner_basis([dx * dx, dx * dy, dy * dy], TermOrder.degrevlex(1))
-    start = time.perf_counter()
-    with pytest.raises(NormalizationFailed, match="in 1000000 attempts"):
-        normalize_by_shear(gb, coeff_range=0, max_attempts=10**6)
-    assert time.perf_counter() - start < 1
-    judged = []
-    real = shape.in_normal_position
-    monkeypatch.setattr(shape, "in_normal_position", lambda gb, c: judged.append(c) or real(gb, c))
-    for coeff_range in (0, 1, 2):
-        judged.clear()
-        with pytest.raises(NormalizationFailed) as stopped:
-            normalize_by_shear(gb, coeff_range=coeff_range, max_attempts=10**6)
-        assert sorted(judged) == [(Fraction(c),) for c in range(-coeff_range, coeff_range + 1)]
-        with pytest.raises(NormalizationFailed) as exhausted:
-            reference_normalize_by_shear(gb, coeff_range=coeff_range, max_attempts=200)
-        assert str(stopped.value).replace("1000000", "200") == str(exhausted.value)
 
 
 def _three_points():
@@ -448,18 +438,113 @@ def test_shear_walk_agrees_with_completing_the_shear():
 def test_normalize_skips_rejected_shears():
     gb = _three_points()
     assert [in_normal_position(gb, (c,)) for c in range(-2, 3)] == [True, False, False, True, True]
-    # seed 4 draws -1, 0, -1, 1: c = 0 and -1 fail, the repeats of 0 and -1
-    # use up two attempts, and the fifth attempt passes with c = 1
-    params, out = normalize_by_shear(gb, seed=4, coeff_range=1)
+    # c = 0 fails and the first draw, 1, passes
+    params, out = normalize_by_shear(gb)
     assert params == (Fraction(1),)
     assert [str(g) for g in out.gens] == ["Dy^2 - Dy", "Dx*Dy - Dx - Dy + 1", "Dx^2 - 5*Dx + 2*Dy + 4"]
-    assert (params, out) == reference_normalize_by_shear(gb, seed=4, coeff_range=1)
-    assert normalize_by_shear(gb, seed=4, coeff_range=1, max_attempts=5) == (params, out)
-    with pytest.raises(NormalizationFailed):
-        normalize_by_shear(gb, seed=4, coeff_range=1, max_attempts=4)
-    for seed, coeff_range in product(range(4), (1, 2)):
-        expected = reference_normalize_by_shear(gb, seed=seed, coeff_range=coeff_range)
-        assert normalize_by_shear(gb, seed=seed, coeff_range=coeff_range) == expected
+    assert (params, out) == reference_normalize_by_shear(gb)
+
+
+def _six_points():
+    """exp(a*x + b*y) at (a, b) = (-7, 0), (-9, 1), (-4, 2), (-1, 3), (-6, 4),
+    (-9, 5): the shear by c moves the x-rates to a + c*b, and they are
+    distinct for no c in [-5, 5], the range of the draws."""
+    (dx, dy), one = sym(1)
+    points = [(-7, 0), (-9, 1), (-4, 2), (-1, 3), (-6, 4), (-9, 5)]
+    p, line = one, 0 * one
+    for a, b in points:
+        p = p * (dy - b * one)
+        lagrange = a * one
+        for _, b2 in points:
+            if b2 != b:
+                lagrange = lagrange * (dy - b2 * one) * Fraction(1, b - b2)
+        line = line + lagrange
+    return groebner_basis([dx - line, p], TermOrder.degrevlex(1))
+
+
+def _fat_point(nvars):
+    """<every monomial of degree 2 in Dx, Dy1..Dyn>: r = nvars + 2, and the
+    walk of any L from 1 stops at step 2, so no shear works."""
+    ds, _ = sym(nvars)
+    gens = [ds[i] * ds[j] for i in range(nvars + 1) for j in range(i, nvars + 1)]
+    return groebner_basis(gens, TermOrder.degrevlex(nvars))
+
+
+def _judging(monkeypatch):
+    """The candidates normalize_by_shear judges, in order, as integer tuples."""
+    judged = []
+    real = shape.in_normal_position
+    monkeypatch.setattr(shape, "in_normal_position", lambda gb, c: judged.append(tuple(map(int, c))) or real(gb, c))
+    return judged
+
+
+def _draws(nvars):
+    """The distinct candidates before the grid: 0, then 19 draws."""
+    rng = random.Random(0)
+    return list(dict.fromkeys([(0,) * nvars] + [tuple(rng.randint(-5, 5) for _ in range(nvars)) for _ in range(19)]))
+
+
+def test_normalize_finds_a_shear_past_the_draws(monkeypatch):
+    gb = _six_points()
+    r = gb.dimension()
+    assert r == 6 and not any(in_normal_position(gb, (Fraction(c),)) for c in range(-5, 6))
+    judged = _judging(monkeypatch)
+    c, out = normalize_by_shear(gb)
+    # the draws reach -5..4; the grid S = {-7, ..., 8} (d = 15) goes on with
+    # 5, which fails, and -6
+    assert c == (Fraction(-6),)
+    assert judged == _draws(1) + [(5,), (-6,)]
+    assert out.gens == shear_ideal(gb, c).gens
+    assert (c, out) == reference_normalize_by_shear(gb)
+    assert in_normal_position(out)
+
+
+def test_normalize_decides_fat_points_on_the_whole_grid(monkeypatch):
+    judged = _judging(monkeypatch)
+    for nvars, side in ((1, 4), (2, 7), (3, 11)):
+        gb = _fat_point(nvars)
+        d = gb.dimension() * (gb.dimension() - 1) // 2
+        assert side == d + 1
+        judged.clear()
+        start = time.perf_counter()
+        with pytest.raises(NotNormalPosition, match="no rational shear"):
+            normalize_by_shear(gb)
+        assert time.perf_counter() - start < 5
+        values = range(-(d // 2), (d + 1) // 2 + 1)
+        draws = _draws(nvars)
+        grid = sorted(product(values, repeat=nvars), key=lambda c: (max(map(abs, c)), c))
+        assert len(grid) == side**nvars
+        assert judged == draws + [c for c in grid if c not in draws]
+    with pytest.raises(NotNormalPosition):
+        reference_normalize_by_shear(_fat_point(1))
+
+
+def test_normalize_grid_is_bounded(monkeypatch):
+    # the bound is grid points times r^3, 100 times that over K, checked
+    # after the draws and before the first walk of the grid; the fat point
+    # at nvars 3 is admitted
+    assert 11**3 * 5**3 <= shape.MAX_SHEAR_WORK
+    judged = _judging(monkeypatch)
+    # (x + 1)*I*(1/(x + 1)) for the fat point I at nvars 1: rational coefficients
+    x1 = RatFunc.var(1, 0) + RatFunc.one(1)
+    left, right = OreOperator.from_coeff(x1), OreOperator.from_coeff(1 / x1)
+    conjugated = groebner_basis([left * g * right for g in _fat_point(1).gens], TermOrder.degrevlex(1))
+    for gb, side, r, field, weight in ((_fat_point(2), 7, 4, "Q", 1), (conjugated, 4, 3, "K", 100)):
+        assert gb.over_q is (field == "Q")
+        work = side**gb.nvars * r**3 * weight
+        monkeypatch.setattr(shape, "MAX_SHEAR_WORK", work - 1)
+        judged.clear()
+        message = f"a shear grid of {side}^{gb.nvars} points at quotient dimension {r} over {field} needs more than"
+        with pytest.raises(ResourceLimit) as refused:
+            normalize_by_shear(gb)
+        assert str(refused.value).startswith(f"{message} {work - 1}")
+        assert judged == _draws(gb.nvars)
+        monkeypatch.setattr(shape, "MAX_SHEAR_WORK", work)
+        with pytest.raises(NotNormalPosition):
+            normalize_by_shear(gb)
+    # a shear found among the draws needs no grid, however large
+    monkeypatch.setattr(shape, "MAX_SHEAR_WORK", 0)
+    assert normalize_by_shear(fixture_gb("exp_pair"))[0] != (Fraction(0),)
 
 
 def test_normalize_completes_only_the_shear_it_returns(monkeypatch):
@@ -481,9 +566,9 @@ def test_normalize_completes_only_the_shear_it_returns(monkeypatch):
         sheared += any(params)
         assert len(completions) == any(params), (gb.gens, params)
     assert sheared >= 3  # exp_pair, nilpotent_y and the three points
-    # c = 0 and c = -1 are rejected before c = 1 passes
+    # eleven shears are rejected before -6 passes
     completions.clear()
-    assert normalize_by_shear(_three_points(), seed=4, coeff_range=1)[0] == (Fraction(1),)
+    assert normalize_by_shear(_six_points())[0] == (Fraction(-6),)
     assert len(completions) == 1
 
 
