@@ -1,22 +1,25 @@
 """Truncated series solutions, Wronskians, and the D-radical test.
 
 At an ordinary origin the solution space of a zero-dimensional ideal has
-dimension r over the constants and a Taylor coefficient of a solution is
-read off the quotient coordinates: for the member attached to the k-th
-standard monomial, the coefficient on the monomial x^a y^b... with exponent
-tuple m is
-
-    const(num) / const(den) / m!   for coords(NF(D^m))[k] = num/den,
-
-its value at 0 as constant term over constant term, with coords(m + e_t) =
-D_t . coords(m) walked in graded order by the quotient action from the
-class of 1.  A den with no constant term means the origin is not ordinary.
-It is read before num: the reduced x^2/(x + y)^2 also has num constant 0,
-but has no value at 0.  Over Q (see shape) a coordinate is its own value.
-An expansion that would walk more than MAX_SERIES_MONOMIALS monomials,
-check-dradical's deeper re-check included, is a ResourceLimit raised
-before its first step, and so is a D-radical system whose solving would
-cost more than MAX_DEPENDENCE_WORK.
+dimension r over the constants.  The quotient coordinates c_m =
+coords(NF(D^m)) are walked in graded order from the class of 1 by the
+quotient action, c_(m+e_t) = d/dt c_m + A_t*c_m, and the member of the k-th
+standard monomial has coefficient c_m[k](0)/m! on x^a y^b... with exponent
+tuple m.  Over Q (see shape) c_m is constant.  Over K the walk runs over
+Z[x, y] and computes no gcd: with the polynomial D, the lcm of the A_t
+denominators, and each B_t = D*A_t over Z (shape's z_form), c_m = w_m/D^|m|
+for w_(m+e_t) = D*d/dt w_m - |m|*(d/dt D)*w_m + B_t*w_m, and c_m(0) =
+w_m(0)/D(0)^|m|.  Only d/dt lowers a degree, by one per step, so the terms
+of w_m of total degree top - |m| or more never reach a constant term below
+order top: a walk made for order top drops them, exactly, check-dradical's
+resumed walk included.  When D(0) = 0 an A_t entry has a pole at 0 and the
+walk stays in K: a coordinate num/den whose den has no constant term, read
+before num (the reduced x^2/(x + y)^2 also has num constant 0), means the
+origin is not ordinary, and a walk that meets none goes through.  A walk
+past MAX_SERIES_MONOMIALS monomials, check-dradical's deeper re-check
+included, is a ResourceLimit raised before its first step, and so is a
+D-radical system, or a re-check of its kernel, that would cost more than
+MAX_DEPENDENCE_WORK.
 
 The Wronskian in x is computed by cofactor expansion: the ring of truncated
 series has zero divisors, so elimination with division is not available.
@@ -49,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import sub
 
 from .arith import MultiPoly, RatFunc, grevlex_key
 from .errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
@@ -101,47 +105,48 @@ class _Expansion:
     """The coefficient walk behind solve_series, resumable up to order `top`.
 
     Holds the Taylor coefficients read off so far and the quotient
-    coordinates of the last degree layer walked, which is all the next
-    layer needs; solution(order) walks only the layers below `order` not yet
-    reached."""
+    coordinates (over Z, their numerators) of the last degree layer walked,
+    which is all the next layer needs; solution(order) walks only the layers
+    below `order` not yet reached."""
 
     def __init__(self, act, top: int):
         if act.r and comb(top + act.nvars, act.nvars + 1) > MAX_SERIES_MONOMIALS:
             raise ResourceLimit(f"series order {top} needs more than {MAX_SERIES_MONOMIALS} "
                                 f"monomials in {act.nvars + 1} variables")
         self.act = act
+        self.top = top
         self.reached = 0
         self.layer = {}
         self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
+        self.form = act.r and act.q_rows is None and act.z_form(top + 1)
+        self.d0 = self.form and dict(self.form[1]).get(0) or 0  # D(0) when the walk runs over Z
 
     def solution(self, order: int) -> SolutionBasis:
-        act = self.act
-        r = act.r
-        nvars = act.nvars
+        act, r, nvars = self.act, self.act.r, self.act.nvars
         if r == 0:
             return SolutionBasis(nvars, 0, order, (), ())
         zero = (0,) * (nvars + 1)
+        d0 = self.d0
         for d in range(self.reached, order):
             layer = {}
             for m in _graded_monomials(nvars + 1, d + 1, d):
                 if d == 0:
-                    cm = act.unit()
+                    cm = [{} if any(dm) else {0: 1} for dm in act.basis] if d0 else act.unit()
                 else:
                     t = next(i for i, e in enumerate(m) if e)
-                    prev = list(m)
-                    prev[t] -= 1
-                    cm = act.apply(t, self.layer[tuple(prev)])
+                    prev = self.layer[m[:t] + (m[t] - 1,) + m[t + 1:]]
+                    cm = act.apply_z(t, prev, d - 1, self.top - d, self.form) if d0 else act.apply(t, prev)
                 layer[m] = cm
-                fact = 1
+                fact = d0**d if d0 else 1
                 for e in m:
                     fact *= factorial(e)
                 for k, c in enumerate(cm):
-                    if isinstance(c, RatFunc):
+                    if type(c) is dict:
+                        c = Fraction(c.get(0, 0))
+                    elif isinstance(c, RatFunc):
                         den0 = c.den.terms.get(zero)
                         if den0 is None:
-                            raise NonOrdinaryOrigin(
-                                f"quotient coordinate for derivative monomial {m} has a pole at 0"
-                            )
+                            raise NonOrdinaryOrigin(f"quotient coordinate for derivative monomial {m} has a pole at 0")
                         c = c.num.terms.get(zero, 0) / den0
                     if c:
                         self.coeff_dicts[k][m] = c / fact
@@ -234,6 +239,13 @@ def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]
     return basis
 
 
+def _check_work(what: str, nrows: int, ncols: int) -> None:
+    """Refuse a system whose solving would cost more than MAX_DEPENDENCE_WORK."""
+    work = nrows * ncols * min(nrows, ncols)
+    if work > MAX_DEPENDENCE_WORK:
+        raise ResourceLimit(f"{what} of {nrows} x {ncols} needs {work} units of work, more than {MAX_DEPENDENCE_WORK}")
+
+
 def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -> DRadicalVerdict:
     """Search for a K-linear dependence among the truncated solutions.
 
@@ -247,32 +259,20 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     act = quotient_action(gb)
     deep = order + 4 if act.q_rows is None else max(order + 4, act.r * (degree_bound + 1))
     expansion = _Expansion(act, deep)
-    nrows = comb(order - degree_bound + gb.nvars, gb.nvars + 1)
-    ncols = act.r * comb(degree_bound + gb.nvars + 1, gb.nvars + 1)
-    work = nrows * ncols * min(nrows, ncols)
-    if work > MAX_DEPENDENCE_WORK:
-        raise ResourceLimit(f"dependence system of {nrows} x {ncols} needs {work} units of work, "
-                            f"more than {MAX_DEPENDENCE_WORK}")
+    _check_work("dependence system", comb(order - degree_bound + gb.nvars, gb.nvars + 1),
+                act.r * comb(degree_bound + gb.nvars + 1, gb.nvars + 1))
     sol = expansion.solution(order)
-    r = sol.r
-    nvars = gb.nvars
+    r, nvars = sol.r, gb.nvars
     if r == 0:
         return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
-    pmonos = [m for m in _graded_monomials(nvars + 1, degree_bound + 1)]
-    cols = [(i, a) for i in range(r) for a in pmonos]
-    rows = []
-    for beta in _graded_monomials(nvars + 1, order - degree_bound):
-        row = []
-        for i, alpha in cols:
-            rest = tuple(b - a for b, a in zip(beta, alpha))
-            if any(e < 0 for e in rest):
-                row.append(Fraction(0))
-            else:
-                row.append(sol.members[i].coefficient(rest))
-        rows.append(row)
+    cols = [(i, a) for i in range(r) for a in _graded_monomials(nvars + 1, degree_bound + 1)]
+    # a rest with a negative exponent is no key of a member: coefficient 0
+    rows = [[sol.members[i].coefficient(tuple(map(sub, beta, alpha))) for i, alpha in cols]
+            for beta in _graded_monomials(nvars + 1, order - degree_bound)]
     kernel = _kernel_basis(rows, len(cols))
     if not kernel:
         return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
+    _check_work("deeper re-check", len(kernel), comb(deep + nvars, nvars + 1))
     deep_sol = expansion.solution(deep)
 
     def polys_of(vec):

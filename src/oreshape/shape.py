@@ -66,10 +66,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, islice, product
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
-from .arith import RatFunc
+from . import arith
+from .arith import RatFunc, divexact
 from .errors import InternalError, NotCyclic, NotNormalPosition, ResourceLimit
 from .gb import GroebnerBasis, TermOrder, groebner_basis
 from .ore import OreOperator
@@ -78,12 +81,13 @@ from .ore import OreOperator
 class QuotientAction:
     """Coordinates and derivative action on K[D]/I for zero-dimensional I."""
 
-    __slots__ = ("gb", "basis", "q_rows", "_matrices")
+    __slots__ = ("gb", "basis", "q_rows", "_matrices", "_z_form")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.basis = gb.quotient_basis()
         self._matrices = None
+        self._z_form = None
         self.q_rows = None  # each A_t over Q as rows of its nonzero entries (j, a)
         if gb.over_q:
             self.q_rows = [[[(j, a) for j, nf in enumerate(nfs) if (a := nf.get(dm))] for dm in self.basis]
@@ -110,6 +114,27 @@ class QuotientAction:
                 self._matrices = [[[RatFunc.const(self.nvars, row[j]) if j in row else zero for j in range(self.r)]
                                    for row in map(dict, rows)] for rows in self.q_rows]
         return self._matrices
+
+    def z_form(self, b: int) -> tuple:
+        """The A_t over K in integer form, for r > 0: (b, D, dD, B) with D the
+        lcm of every A_t denominator, scaled so that each B_t = D*A_t has
+        integer polynomial entries, and dD[t] = d/dt D.  Each polynomial is a
+        list of terms (key, c), its exponent tuple e packed into the key
+        sum(e_i*(b^i + b^(nvars+1))): keys add as exponents do, and for n <= b
+        a key is below n*b^(nvars+1) exactly when |e| < n.  The lcm is taken
+        once, on first use."""
+        if self._z_form is None:
+            A = self.matrices
+            dens = {a.den for At in A for row in At for a in row}
+            den = reduce(lambda f, g: divexact(f * g, arith.poly_gcd(f, g)), dens)
+            B = [[[a.num * divexact(den, a.den) for a in row] for row in At] for At in A]
+            s = lcm(*(c.denominator for p in chain([den], *chain(*B)) for c in p.terms.values()))
+            self._z_form = s, den, [den.derivative(t) for t in range(self.nvars + 1)], B
+        s, den, dD, B = self._z_form
+        weights = [b**i + b ** (self.nvars + 1) for i in range(self.nvars + 1)]
+        def z(p):
+            return [(sum(map(mul, e, weights)), c.numerator * (s // c.denominator)) for e, c in p.terms.items()]
+        return b, z(den), list(map(z, dD)), [[list(map(z, row)) for row in Bt] for Bt in B]
 
     @property
     def r(self) -> int:
@@ -138,6 +163,29 @@ class QuotientAction:
         A = self.matrices[t]
         return [sum((A[i][j] * vj for j, vj in enumerate(v) if vj and A[i][j]), vi.derivative(t))
                 for i, vi in enumerate(v)]
+
+    def apply_z(self, t: int, w: list, k: int, cut: int, form: tuple) -> list:
+        """Action of D_t on w/D^k, w a vector over Z[x, y] packed as in form =
+        z_form(b): the numerator D*d/dt w - k*(d/dt D)*w + B_t*w of the image
+        over D^(k+1), without its terms of total degree cut or more."""
+        b, D, dD, B = form
+        bt, bn = b**t, b ** (self.nvars + 1)
+        lim = cut * bn  # keys of total degree below cut (see z_form)
+        kdD = [(e, -k * c) for e, c in dD[t]] if k else []
+        w = [sorted(v.items()) for v in w]  # so each inner loop stops at lim
+        def image(row, wi):
+            acc = {}
+            get = acc.get
+            dw = [(e - bt - bn, c * n) for e, c in wi if (n := e // bt % b)]
+            for f, g in ((D, dw), (kdD, wi), *zip(row, w)):
+                for e1, c1 in f:
+                    for e2, c2 in g:
+                        if (e := e1 + e2) >= lim:
+                            break
+                        acc[e] = get(e, 0) + c1 * c2
+            return {e: c for e, c in acc.items() if c}
+
+        return list(map(image, B[t], w))
 
 
 def quotient_action(gb: GroebnerBasis) -> QuotientAction:

@@ -602,6 +602,19 @@ def reference_normalize_by_shear(gb):
 # ---------------------------------------------------------------------------
 
 
+def conjugate(gb, c):
+    """The ideal (x + c)*I*(1/(x + c)), completed: (x + c)*g*(1/(x + c))
+    annihilates (x + c)*f whenever g annihilates f.  Its quotient
+    coordinates carry powers of x + c in their denominators."""
+    from oreshape.arith import RatFunc
+    from oreshape.gb import groebner_basis
+    from oreshape.ore import OreOperator
+
+    xc = RatFunc.var(gb.nvars, 0) + RatFunc.const(gb.nvars, c)
+    left, right = OreOperator.from_coeff(xc), OreOperator.from_coeff(1 / xc)
+    return groebner_basis([left * g * right for g in gb.gens], gb.order)
+
+
 def reference_solve_series(gb, order):
     """The former series.solve_series: the same walk of quotient coordinates,
     always over K from act.coords(1), each step d/dt c + A_t*c written out

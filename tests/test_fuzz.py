@@ -12,10 +12,11 @@ are not nested: the size of a power is not bounded yet (see ROADMAP), and
 this test is about crashes, not run time.  The example budget is fixed and
 derandomized, so every run checks the same inputs.
 
-The last property compares the walks over Q and over K, the series walk
+The last properties compare the walks over Q and over K, the series walk
 and the Krylov walk, on constant-coefficient ideals, drawn from _helpers:
 two points or a double point, some hidden by elementary steps with
-constant or rational coefficients.
+constant or rational coefficients; and, on the same ideals conjugated by
+x + c, the series walk over Z[x, y] with the walk over K.
 """
 
 import contextlib
@@ -37,11 +38,12 @@ from oreshape.errors import OreShapeError
 from oreshape.gb import TermOrder, _spoly, groebner_basis
 from oreshape.ore import OreOperator
 from oreshape.parsing import parse_ideal_file, parse_operator
-from oreshape.series import NO_DEPENDENCE, d_radical_check, solve_series
+from oreshape.series import NO_DEPENDENCE, _Expansion, d_radical_check, solve_series
 from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action, shear_ideal
 
 from _helpers import (
     MULTIPLICITIES,
+    conjugate,
     disguise,
     double_point_ideal,
     rand_operator,
@@ -177,6 +179,17 @@ def test_walk_over_q_matches_the_walk_over_k(ideal, order):
     assert _shape_from_krylov(act, over_q) == _shape_from_krylov(act, over_k)
     for c in product((Fraction(0), Fraction(1), Fraction(-2)), repeat=nvars):
         assert _krylov_walk(act, over_q, c)[0] == _krylov_walk(act, over_k, c)[0]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(constant_ideals(), st.fractions(-3, 3, max_denominator=3).filter(bool), st.integers(1, 8))
+def test_walk_over_z_matches_the_walk_over_k(ideal, c, order):
+    # conjugation by x + c puts (x + c)^k into the denominators of the A_t,
+    # which has a value at 0, so the walk runs over Z
+    nvars, gens, _ = ideal
+    gb = conjugate(groebner_basis(gens, TermOrder.degrevlex(nvars)), c)
+    assert _Expansion(quotient_action(gb), order).d0
+    assert solve_series(gb, order) == reference_solve_series(gb, order)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from oreshape import series
+from oreshape import arith, series
 from oreshape.arith import MultiPoly, RatFunc
 from oreshape.errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
 from oreshape.gb import TermOrder, groebner_basis
@@ -26,6 +26,7 @@ from oreshape.series import (
     DEPENDENCE_FOUND,
     NO_DEPENDENCE,
     DRadicalVerdict,
+    SolutionBasis,
     _Expansion,
     _graded_monomials,
     _kernel_basis,
@@ -44,6 +45,7 @@ from oreshape.shape import (
 )
 
 from _helpers import (
+    conjugate,
     disguise,
     exp_series,
     monomials_below,
@@ -276,12 +278,17 @@ def test_rational_coefficients_at_ordinary_origin():
     assert sol.members[0] == expect
 
 
-def test_non_ordinary_origin_is_detected():
+def test_non_ordinary_origin_is_detected(monkeypatch):
+    # A_x = 1/x: D = x has no value at 0 (see series), so the walk stays
+    # over K and refuses the origin there, with the message it always had.
     (dx, dy), one = sym(1)
     x = OreOperator.from_coeff(RatFunc.var(1, 0))
     gb = groebner_basis([x * dx - one, dy], TermOrder.degrevlex(1))
-    with pytest.raises(NonOrdinaryOrigin):
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(NonOrdinaryOrigin, match=r"^quotient coordinate for derivative monomial \(1, 0\) has a pole at 0$"):
         solve_series(gb, order=5)
+    assert steps["Z"] == 0 < steps["K"]
+    _assert_solve_matches_reference(gb, range(1, 6))
 
 
 def _solve_outcome(solve, gb, order):
@@ -303,15 +310,6 @@ def test_solve_series_matches_reference_on_fixtures_and_golden_ideals():
         _assert_solve_matches_reference(gb, range(3, 13))
 
 
-def _conjugate(gb, c):
-    """The ideal (x + c)*I*(1/(x + c)), completed: (x + c)*g*(1/(x + c))
-    annihilates (x + c)*f whenever g annihilates f.  Its quotient
-    coordinates carry powers of x + c in their denominators."""
-    xc = RatFunc.var(gb.nvars, 0) + RatFunc.const(gb.nvars, c)
-    left, right = OreOperator.from_coeff(xc), OreOperator.from_coeff(1 / xc)
-    return groebner_basis([left * g * right for g in gb.gens], gb.order)
-
-
 def test_solve_series_matches_reference_on_conjugated_ideals():
     rng = random.Random(1409)
     pool = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
@@ -319,7 +317,7 @@ def test_solve_series_matches_reference_on_conjugated_ideals():
     denominators = 0
     for gb in pool:
         for _ in range(2):
-            conj = _conjugate(gb, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
+            conj = conjugate(gb, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
             act = quotient_action(conj)
             denominators += sum(not v.den.is_one() for t in range(gb.nvars + 1) for v in act.apply(t, act.unit()))
             _assert_solve_matches_reference(conj, range(3, 9))
@@ -538,7 +536,7 @@ def test_dependence_verdict_matches_the_multiplicities():
         if kind == "shear":
             gb = shear_ideal(gb, tuple(Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(nvars)))
         elif kind == "conjugate":
-            gb = _conjugate(gb, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
+            gb = conjugate(gb, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
         assert isinstance(quotient_action(gb).unit()[0], RatFunc) == (kind == "conjugate")
         v = d_radical_check(gb)
         assert (v.tag == DEPENDENCE_FOUND) == (max(mults) >= 2), (kind, mults, [str(g) for g in gens])
@@ -559,14 +557,14 @@ def test_no_dependence_among_four_exponentials():
 
 
 def test_resumed_expansion_matches_fresh_one():
-    # the last ideal has rational action matrices, so it resumes the walk over K
+    # the last ideal has rational action matrices, so it resumes the walk over Z
     gbs = [fixture_gb(name) for name in ("two_points", "double_point", "nilpotent_y")]
-    gbs.append(_conjugate(fixture_gb("double_point"), Fraction(2)))
+    gbs.append(conjugate(fixture_gb("double_point"), Fraction(2)))
     for gb in gbs:
         expansion = _Expansion(quotient_action(gb), 11)
         for order in (3, 7, 5, 11):
             assert expansion.solution(order) == solve_series(gb, order) == reference_solve_series(gb, order)
-    assert all(isinstance(a, RatFunc) for a in expansion.act.unit())
+    assert all(isinstance(a, RatFunc) for a in expansion.act.unit()) and expansion.d0
 
 
 def test_constant_action_matrices_take_the_walk_over_q():
@@ -580,23 +578,121 @@ def test_constant_action_matrices_take_the_walk_over_q():
         assert not all(c.is_constant() for g in gens for c in g.terms.values())
         disguised = groebner_basis(gens, TermOrder.degrevlex(nvars))
         assert all(c.is_constant() for g in disguised.gens for c in g.terms.values())
-        conjugated = _conjugate(groebner_basis(plain, TermOrder.degrevlex(nvars)), Fraction(3, 2))
+        conjugated = conjugate(groebner_basis(plain, TermOrder.degrevlex(nvars)), Fraction(3, 2))
         for gb, over_q in ((disguised, True), (conjugated, False)):
             assert all(type(a) is Fraction for a in quotient_action(gb).unit()) == over_q
             _assert_solve_matches_reference(gb, range(1, 9))
 
 
+def _rational_ideals():
+    """Conjugated and gauged ideals at nvars 1 and 2, each with a rational
+    A_t and D(0) != 0 (see series), named for the assertion messages."""
+    (dx, dy), one = sym(1)
+    x, y = (OreOperator.from_coeff(RatFunc.var(1, i)) for i in (0, 1))
+    n2 = groebner_basis(two_point_ideal(random.Random(5), 2), TermOrder.degrevlex(2))
+    x2 = OreOperator.from_coeff(RatFunc.var(2, 0) + RatFunc.one(2))
+    gauged = [(fixture_gb("two_points"), x * dx + one), (fixture_gb("exp_pair"), (x + one) * dx + y * dy + one),
+              (n2, 2 * x2)]
+    ideals = {f"conjugated {name}": conjugate(fixture_gb(name), c)
+              for name, c in (("double_point", Fraction(2)), ("exp_pair", Fraction(-1, 2)), ("nilpotent_y", Fraction(3)))}
+    ideals["conjugated n2"] = conjugate(n2, Fraction(-3, 2))
+    for k, (gb, m) in enumerate(gauged):
+        ideals[f"gauged {k}"] = groebner_basis(gauge_transform(gb, m).generators(), gb.order)
+    return ideals
+
+
+def _cut(sol, order):
+    """The solution basis sol cut to a lower order."""
+    members = tuple(TruncSeries(sol.nvars, order, f.coeffs) for f in sol.members)
+    return SolutionBasis(sol.nvars, sol.r, order, sol.initial_monomials, members)
+
+
+def test_walk_over_z_matches_the_walk_over_k(monkeypatch):
+    # Every step of these walks is over Z, fresh and resumed, at every order
+    # from 1 to 12; the reference walks over K once, to order 12, and is cut.
+    steps = _count_steps(monkeypatch)
+    nvars = set()
+    for name, gb in _rational_ideals().items():
+        ref = reference_solve_series(gb, 12)
+        steps.update(Q=0, K=0, Z=0)
+        for order in range(1, 13):
+            assert solve_series(gb, order) == _cut(ref, order), (name, order)
+        expansion = _Expansion(quotient_action(gb), 11)
+        for order in (3, 7, 5, 11):
+            assert expansion.solution(order) == _cut(ref, order), (name, order)
+        assert steps["Q"] == steps["K"] == 0 < steps["Z"], name
+        nvars.add(gb.nvars)
+    assert nvars == {1, 2}
+
+
+def test_walk_over_z_computes_no_gcd(monkeypatch):
+    # The integer form of the action takes its gcds once, when it is built;
+    # the walk takes none, so a walk to order 30 takes as many as one to 6.
+    (dx, dy), one = sym(1)
+    mult = OreOperator.from_coeff(RatFunc.var(1, 0)) * dx + one
+    counts = []
+    for order in (6, 30):
+        gb = groebner_basis(gauge_transform(fixture_gb("two_points"), mult).generators(), TermOrder.degrevlex(1))
+        quotient_action(gb).matrices
+        calls = []
+        with monkeypatch.context() as patch:
+            gcd = arith.poly_gcd
+            patch.setattr(arith, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+            solve_series(gb, order)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_pole_the_walk_never_reaches_is_not_refused():
+    # Dx^2 - Dx/x has its pole only in the column of the standard monomial
+    # Dx, which the walk first multiplies at degree |Dx| + 1 = 2: orders 1
+    # and 2 never read that coordinate and have a solution basis, order 3
+    # is refused, as by the walk over K before.
+    (dx, dy), one = sym(1)
+    inv_x = OreOperator.from_coeff(1 / RatFunc.var(1, 0))
+    gb = groebner_basis([dx * dx - inv_x * dx, dy], TermOrder.degrevlex(1))
+    assert [a.den.is_one() for row in quotient_action(gb).matrices[0] for a in row] == [True, True, True, False]
+    for order in (1, 2):
+        assert solve_series(gb, order) == reference_solve_series(gb, order)
+    for order in (3, 4):
+        with pytest.raises(NonOrdinaryOrigin, match=r"monomial \(2, 0\) has a pole"):
+            solve_series(gb, order)
+    _assert_solve_matches_reference(gb, range(1, 5))
+
+
+def test_deeper_recheck_is_bounded(monkeypatch):
+    # Five exponentials: at the default bounds the 28 x 50 system has rank
+    # 28, so 22 kernel vectors, each re-checked on the 210 monomials below
+    # deep = 5*(3 + 1) = 20.  The bound admits 22 x 210 x 22 units of work
+    # and refuses one unit more, before the deeper walk.
+    nvars, ops = parse_ideal_file("*".join(f"(Dx - {k})" for k in range(5)) + "\nDy - Dx^2 + 3*Dx\n")
+    gb = groebner_basis(ops, TermOrder.degrevlex(nvars))
+    work = 22 * 210 * 22
+    monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", work)
+    assert d_radical_check(gb).tag == NO_DEPENDENCE
+    monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", work - 1)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ResourceLimit, match=rf"^deeper re-check of 22 x 210 needs {work} units of work, more than {work - 1}$"):
+        d_radical_check(gb)
+    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0, "Z": 0}
+
+
 def _count_steps(monkeypatch):
-    """Record each step of the quotient action by the field of its vector:
-    A_t·v over Q, D_t·v over K."""
-    steps = {"Q": 0, "K": 0}
-    apply = QuotientAction.apply
+    """Record each step of the quotient action by the ring of its vector:
+    A_t·v over Q, D_t·v over K, and the numerator of D_t·v over Z[x, y]."""
+    steps = {"Q": 0, "K": 0, "Z": 0}
+    apply, apply_z = QuotientAction.apply, QuotientAction.apply_z
 
     def counting(self, t, v):
         steps["K" if isinstance(v[0], RatFunc) else "Q"] += 1
         return apply(self, t, v)
 
+    def counting_z(self, *args):
+        steps["Z"] += 1
+        return apply_z(self, *args)
+
     monkeypatch.setattr(QuotientAction, "apply", counting)
+    monkeypatch.setattr(QuotientAction, "apply_z", counting_z)
     return steps
 
 
@@ -605,15 +701,15 @@ def test_dependence_check_expands_each_monomial_once(monkeypatch):
     # one derivative step per monomial of total degree 1..order + 3
     deep = len(list(_graded_monomials(2, 14))) - 1
     assert d_radical_check(fixture_gb("double_point"), order=10).tag == DEPENDENCE_FOUND
-    assert steps == {"Q": deep, "K": 0}
-    # over K: the conjugated double point keeps its dependence
-    steps.update(Q=0, K=0)
-    assert d_radical_check(_conjugate(fixture_gb("double_point"), Fraction(2)), order=10).tag == DEPENDENCE_FOUND
-    assert steps == {"Q": 0, "K": deep}
+    assert steps == {"Q": deep, "K": 0, "Z": 0}
+    # over K, walked over Z: the conjugated double point keeps its dependence
+    steps.update(Q=0, K=0, Z=0)
+    assert d_radical_check(conjugate(fixture_gb("double_point"), Fraction(2)), order=10).tag == DEPENDENCE_FOUND
+    assert steps == {"Q": 0, "K": 0, "Z": deep}
     # no kernel: the deeper expansion never runs
-    steps.update(Q=0, K=0)
+    steps.update(Q=0, K=0, Z=0)
     assert d_radical_check(fixture_gb("two_points"), degree_bound=1, order=10).tag == NO_DEPENDENCE
-    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0}
+    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0, "Z": 0}
 
 
 def test_dependence_system_is_bounded(monkeypatch):
@@ -629,7 +725,7 @@ def test_dependence_system_is_bounded(monkeypatch):
     monkeypatch.setattr(series, "_kernel_basis", lambda rows, ncols: systems.append((len(rows), ncols)) or [])
     steps = _count_steps(monkeypatch)
     n2 = groebner_basis(two_point_ideal(random.Random(5), 2), TermOrder.degrevlex(2))
-    cases = [(fixture_gb("two_points"), 3, 10), (_conjugate(fixture_gb("two_points"), Fraction(2)), 2, 9), (n2, 2, 7),
+    cases = [(fixture_gb("two_points"), 3, 10), (conjugate(fixture_gb("two_points"), Fraction(2)), 2, 9), (n2, 2, 7),
              (fixture_gb("two_points"), 3, 6)]
     for gb, degree_bound, order in cases:
         nvars, r = gb.nvars, gb.dimension()
@@ -639,10 +735,10 @@ def test_dependence_system_is_bounded(monkeypatch):
         d_radical_check(gb, degree_bound, order)
         assert systems.pop() == size
         monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", work - 1)
-        steps.update(Q=0, K=0)
+        steps.update(Q=0, K=0, Z=0)
         with pytest.raises(ResourceLimit, match=rf"dependence system of {size[0]} x {size[1]} needs {work} units"):
             d_radical_check(gb, degree_bound, order)
-        assert steps == {"Q": 0, "K": 0}
+        assert steps == {"Q": 0, "K": 0, "Z": 0}
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 0)
     assert d_radical_check(fixture_gb("unit")).tag == NO_DEPENDENCE
 
@@ -657,15 +753,15 @@ def test_series_walk_is_bounded(monkeypatch):
     monkeypatch.setattr(series, "MAX_SERIES_MONOMIALS", 55)
     steps = _count_steps(monkeypatch)
     assert solve_series(fixture_gb("two_points"), 10).order == 10
-    steps.update(Q=0, K=0)
-    for gb in (fixture_gb("two_points"), _conjugate(fixture_gb("two_points"), Fraction(2))):
+    steps.update(Q=0, K=0, Z=0)
+    for gb in (fixture_gb("two_points"), conjugate(fixture_gb("two_points"), Fraction(2))):
         with pytest.raises(ResourceLimit, match="series order 11 needs more than 55 monomials in 2 variables"):
             solve_series(gb, 11)
-    assert steps == {"Q": 0, "K": 0}
+    assert steps == {"Q": 0, "K": 0, "Z": 0}
     # check-dradical is refused before its first walk to order 10, since its
     # deeper re-check would walk to order 14; the unit ideal is not
-    for gb in (fixture_gb("double_point"), _conjugate(fixture_gb("double_point"), Fraction(2))):
+    for gb in (fixture_gb("double_point"), conjugate(fixture_gb("double_point"), Fraction(2))):
         with pytest.raises(ResourceLimit, match="series order 14 needs more than 55 monomials"):
             d_radical_check(gb, order=10)
-    assert steps == {"Q": 0, "K": 0}
+    assert steps == {"Q": 0, "K": 0, "Z": 0}
     assert d_radical_check(fixture_gb("unit"), order=10**6).tag == NO_DEPENDENCE
