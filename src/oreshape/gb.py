@@ -61,6 +61,10 @@ from .arith import grevlex_key
 from .errors import ArityError, DegreeCapExceeded, NotZeroDimensional
 from .ore import OreOperator, der_name
 
+# The largest total derivative order of a generator in a completion, inputs
+# included: a runaway completion stops with DegreeCapExceeded.
+MAX_DEGREE = 30
+
 _KEYS = {
     # graded reverse lexicographic, Dx > Dy1 > ... > Dyn
     "degrevlex": grevlex_key,
@@ -289,11 +293,11 @@ class GroebnerBasis:
         return "GroebnerBasis[" + "; ".join(str(g) for g in self.gens) + "]"
 
 
-def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasis:
+def groebner_basis(gens, order: TermOrder) -> GroebnerBasis:
     """Buchberger completion followed by full interreduction.
 
     Every generator entering the working basis (inputs included) must stay
-    within `degree_cap` total derivative order.
+    within MAX_DEGREE total derivative order.
     """
     given = [g for g in gens if not g.is_zero()]
     if not given:
@@ -302,8 +306,8 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
     for g in given:
         if g.nvars != nvars:
             raise ArityError("generators have mixed arities")
-        if g.max_order() > degree_cap:
-            raise DegreeCapExceeded(f"generator order {g.max_order()} exceeds cap {degree_cap}")
+        if g.max_order() > MAX_DEGREE:
+            raise DegreeCapExceeded(f"generator order {g.max_order()} exceeds cap {MAX_DEGREE}")
     q = [_to_q(g) for g in given]
     work = [_monic(g, order.key) for g in (q if all(h is not None for h in q) else given)]
     work = list(dict.fromkeys(work))  # without repeats, in order
@@ -334,10 +338,8 @@ def groebner_basis(gens, order: TermOrder, degree_cap: int = 30) -> GroebnerBasi
         h = left_reduce(_spoly(work[i], work[j], order), work, order)
         if h.is_zero():
             continue
-        if h.max_order() > degree_cap:
-            raise DegreeCapExceeded(
-                f"completion produced order {h.max_order()}, cap is {degree_cap}"
-            )
+        if h.max_order() > MAX_DEGREE:
+            raise DegreeCapExceeded(f"completion produced order {h.max_order()}, cap is {MAX_DEGREE}")
         k = len(work)
         work.append(_monic(h, order.key))
         lms.append(work[k].leading(order.key)[0])

@@ -109,11 +109,6 @@ class OreOperator:
             return 0
         return max(sum(dm) for dm in self.terms)
 
-    def order_in(self, index: int) -> int:
-        if not self.terms:
-            return 0
-        return max(dm[index] for dm in self.terms)
-
     def is_free_of(self, index: int) -> bool:
         return all(dm[index] == 0 for dm in self.terms)
 

@@ -24,7 +24,9 @@ MAX_DEPENDENCE_WORK.
 The Wronskian in x is computed by cofactor expansion: the ring of truncated
 series has zero divisors, so elimination with division is not available.
 Differentiating r - 1 times costs r - 1 guaranteed orders, which is the
-recorded order of the result.
+recorded order of the result.  The expansion makes a number of series
+products that grows like r!, so one whose work would pass
+MAX_WRONSKIAN_WORK is a ResourceLimit raised before its first product.
 
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
@@ -71,6 +73,13 @@ MAX_SERIES_MONOMIALS = 100_000
 # (Python 3.11 on a shared 2-vCPU x86-64 VM), so about 8 s at most.  For
 # r = 2 at the default degree bound, --trunc 143 at nvars 1, 26 at nvars 2.
 MAX_DEPENDENCE_WORK = 4_000_000
+# Work of a Wronskian of r series of order n: P(r) = r + r*P(r - 1) series
+# products, P(1) = 0, each pairing the M(n) terms of one factor with the
+# M(n - r + 1) of the other (M(k) = comb(k + nvars, nvars + 1) monomials below
+# order k), with coefficients that grow with n: P(r)*M(n)*M(n - r + 1)*n units.
+# A unit took 4 to 29 ns (Python 3.11 on a shared 2-vCPU x86-64 VM), so about
+# 9 s at most.  At --trunc 12 and nvars 1, r = 7 is admitted and r = 8 not.
+MAX_WRONSKIAN_WORK = 300_000_000
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,7 @@ class _Expansion:
         self.reached = 0
         self.layer = {}
         self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
-        self.form = act.r and act.q_rows is None and act.z_form(top + 1)
+        self.form = act.r and not act.gb.over_q and act.z_form(top + 1)
         self.d0 = self.form and dict(self.form[1]).get(0) or 0  # D(0) when the walk runs over Z
 
     def solution(self, order: int) -> SolutionBasis:
@@ -164,32 +173,33 @@ def solve_series(gb: GroebnerBasis, order: int = 8) -> SolutionBasis:
 
 
 def _det(rows: list[list[TruncSeries]]) -> TruncSeries:
-    n = len(rows)
-    if n == 1:
+    """Cofactor expansion along the first row."""
+    if len(rows) == 1:
         return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
+    for j, a in enumerate(rows[0]):
+        term = a * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        total = term if j == 0 else total - term if j % 2 else total + term
     return total
 
 
 def wronskian_x(members) -> TruncSeries:
     """Wronskian determinant in x of the given series, by cofactor expansion.
 
-    The recorded order is min(member orders) - (len(members) - 1)."""
+    The recorded order is min(member orders) - (len(members) - 1).  Refused
+    before the first product when its work passes MAX_WRONSKIAN_WORK."""
     members = list(members)
     if not members:
         raise ValueError("wronskian of an empty family")
     n = min(f.order for f in members)
     r = len(members)
     if n - (r - 1) < 1:
-        raise TruncationTooSmall(
-            f"need guaranteed order above {r - 1} to differentiate {r} members"
-        )
+        raise TruncationTooSmall(f"need guaranteed order above {r - 1} to differentiate {r} members")
+    nvars = members[0].nvars
+    products = sum(factorial(r) // factorial(k) for k in range(1, r))  # P(r), see MAX_WRONSKIAN_WORK
+    work = products * comb(n + nvars, nvars + 1) * comb(n - r + 1 + nvars, nvars + 1) * n
+    if work > MAX_WRONSKIAN_WORK:
+        raise ResourceLimit(f"a Wronskian of {r} series of order {n} needs {work} units of work, "
+                            f"more than {MAX_WRONSKIAN_WORK}")
     rows = [members]
     for _ in range(r - 1):
         rows.append([f.diff(0) for f in rows[-1]])
@@ -257,7 +267,7 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     if order <= degree_bound:
         raise TruncationTooSmall("series order must exceed degree_bound")
     act = quotient_action(gb)
-    deep = order + 4 if act.q_rows is None else max(order + 4, act.r * (degree_bound + 1))
+    deep = max(order + 4, act.r * (degree_bound + 1)) if gb.over_q else order + 4
     expansion = _Expansion(act, deep)
     _check_work("dependence system", comb(order - degree_bound + gb.nvars, gb.nvars + 1),
                 act.r * comb(degree_bound + gb.nvars + 1, gb.nvars + 1))

@@ -33,14 +33,15 @@ position), which keeps intermediate coefficient growth down and the whole
 computation deterministic; the results do not depend on the pivots, since
 coefficients in an independent family are unique.
 
-The field is the basis's (see gb).  Over a basis kept over Q, as for
-K[D]*J with J in Q[D], QuotientAction reads the A_D over Q (q_rows) off
-normal forms over Q and gives the class of 1 over Q.  Every D.v from it is
-constant too, so apply steps it by A_D*v alone; the Krylov walk runs over
-the field of its start vector, with the first nonzero entry as pivot over
-Q.  On constants every entry has degree 0, so the echelon over K picks the
-same pivots: lam, P and the Qi are the same.  coords stays over K, and the
-A_D over K (matrices) are built on first use.
+The field is the basis's (see gb).  QuotientAction keeps each A_D once, as
+sparse rows over that field, read off the normal forms at construction.
+Over a basis kept over Q, as for K[D]*J with J in Q[D], they hold
+Fractions and the class of 1 is over Q.  Every D.v from it is constant
+too, so apply steps it by A_D*v alone; the Krylov walk runs over the field
+of its start vector, with the first nonzero entry as pivot over Q.  On
+constants every entry has degree 0, so the echelon over K picks the same
+pivots: lam, P and the Qi are the same.  coords stays over K, and a
+Fraction entry times a coordinate over K is that RatFunc times a constant.
 
 Shears are judged without a completion.  The shear by c (OreOperator.shear)
 is an automorphism phi of K[D] that maps K onto K, with phi^-1(Dx) = L =
@@ -79,62 +80,46 @@ from .ore import OreOperator
 
 
 class QuotientAction:
-    """Coordinates and derivative action on K[D]/I for zero-dimensional I."""
+    """Coordinates and derivative action on K[D]/I for zero-dimensional I.
 
-    __slots__ = ("gb", "basis", "q_rows", "_matrices", "_z_form")
+    rows[t] holds A_t as rows of its nonzero entries (j, a) over the basis's
+    field, read off the normal forms of D_t*m, m standard, at construction."""
+
+    __slots__ = ("gb", "basis", "rows", "_z_form")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.basis = gb.quotient_basis()
-        self._matrices = None
         self._z_form = None
-        self.q_rows = None  # each A_t over Q as rows of its nonzero entries (j, a)
-        if gb.over_q:
-            self.q_rows = [[[(j, a) for j, nf in enumerate(nfs) if (a := nf.get(dm))] for dm in self.basis]
-                           for nfs in self._normal_forms()]
-
-    def _normal_forms(self) -> list:
-        """Terms of NF(D_t * m), each symbol t by each standard monomial m,
-        over the basis's field."""
-        nvars = self.nvars
-        one = Fraction(1) if self.gb.over_q else RatFunc.one(nvars)
-        return [[self.gb.reduce(OreOperator._make(nvars, {dm[:t] + (dm[t] + 1,) + dm[t + 1:]: one})).terms
-                 for dm in self.basis] for t in range(nvars + 1)]
-
-    @property
-    def matrices(self) -> list:
-        """Each A_t over K, as rows; built on first use, which over Q only
-        gauge_transform and cyclic_vector make, by lifting q_rows."""
-        if self._matrices is None:
-            zero = RatFunc.zero(self.nvars)
-            if self.q_rows is None:
-                self._matrices = [[[nf.get(dm, zero) for nf in nfs] for dm in self.basis]
-                                  for nfs in self._normal_forms()]
-            else:
-                self._matrices = [[[RatFunc.const(self.nvars, row[j]) if j in row else zero for j in range(self.r)]
-                                   for row in map(dict, rows)] for rows in self.q_rows]
-        return self._matrices
+        nvars = gb.nvars
+        one = Fraction(1) if gb.over_q else RatFunc.one(nvars)
+        self.rows = []
+        for t in range(nvars + 1):
+            nfs = [gb.reduce(OreOperator._make(nvars, {dm[:t] + (dm[t] + 1,) + dm[t + 1:]: one})).terms
+                   for dm in self.basis]
+            self.rows.append([[(j, a) for j, nf in enumerate(nfs) if (a := nf.get(dm))] for dm in self.basis])
 
     def z_form(self, b: int) -> tuple:
         """The A_t over K in integer form, for r > 0: (b, D, dD, B) with D the
         lcm of every A_t denominator, scaled so that each B_t = D*A_t has
-        integer polynomial entries, and dD[t] = d/dt D.  Each polynomial is a
-        list of terms (key, c), its exponent tuple e packed into the key
+        integer polynomial entries, and dD[t] = d/dt D.  B_t keeps the rows
+        of A_t: entries (j, polynomial).  Each polynomial is a list of terms
+        (key, c), its exponent tuple e packed into the key
         sum(e_i*(b^i + b^(nvars+1))): keys add as exponents do, and for n <= b
         a key is below n*b^(nvars+1) exactly when |e| < n.  The lcm is taken
         once, on first use."""
         if self._z_form is None:
-            A = self.matrices
-            dens = {a.den for At in A for row in At for a in row}
+            dens = {a.den for At in self.rows for row in At for _, a in row}
             den = reduce(lambda f, g: divexact(f * g, arith.poly_gcd(f, g)), dens)
-            B = [[[a.num * divexact(den, a.den) for a in row] for row in At] for At in A]
-            s = lcm(*(c.denominator for p in chain([den], *chain(*B)) for c in p.terms.values()))
+            B = [[[(j, a.num * divexact(den, a.den)) for j, a in row] for row in At] for At in self.rows]
+            polys = chain([den], (p for Bt in B for row in Bt for _, p in row))
+            s = lcm(*(c.denominator for p in polys for c in p.terms.values()))
             self._z_form = s, den, [den.derivative(t) for t in range(self.nvars + 1)], B
         s, den, dD, B = self._z_form
         weights = [b**i + b ** (self.nvars + 1) for i in range(self.nvars + 1)]
         def z(p):
             return [(sum(map(mul, e, weights)), c.numerator * (s // c.denominator)) for e, c in p.terms.items()]
-        return b, z(den), list(map(z, dD)), [[list(map(z, row)) for row in Bt] for Bt in B]
+        return b, z(den), list(map(z, dD)), [[[(j, z(p)) for j, p in row] for row in Bt] for Bt in B]
 
     @property
     def r(self) -> int:
@@ -145,9 +130,9 @@ class QuotientAction:
         return self.gb.nvars
 
     def unit(self) -> list:
-        """Coordinates of the class of 1, over Q when q_rows is set; [] for
-        the unit ideal.  Otherwise 1 is the first standard monomial."""
-        one = Fraction(1) if self.q_rows is not None else RatFunc.one(self.nvars)
+        """Coordinates of the class of 1 over the basis's field; [] for the
+        unit ideal.  Otherwise 1 is the first standard monomial."""
+        one = Fraction(1) if self.gb.over_q else RatFunc.one(self.nvars)
         return [one - one if any(dm) else one for dm in self.basis]
 
     def coords(self, op: OreOperator) -> list[RatFunc]:
@@ -156,13 +141,11 @@ class QuotientAction:
         return [nf.get(dm, RatFunc.zero(self.nvars)) for dm in self.basis]
 
     def apply(self, t: int, v: list) -> list:
-        """Action of D_t on a coordinate vector: derivative plus matrix part
-        over K, the matrix part alone over Q."""
-        if not v or not isinstance(v[0], RatFunc):
-            return [sum(a * v[j] for j, a in row if v[j]) for row in self.q_rows[t]]
-        A = self.matrices[t]
-        return [sum((A[i][j] * vj for j, vj in enumerate(v) if vj and A[i][j]), vi.derivative(t))
-                for i, vi in enumerate(v)]
+        """Action of D_t on a coordinate vector: A_t*v, plus d/dt v when v is
+        over K.  A vector over Q, from unit over Q, has no derivative."""
+        over_k = v and isinstance(v[0], RatFunc)
+        return [sum((a * v[j] for j, a in row if v[j]), vi.derivative(t) if over_k else 0)
+                for row, vi in zip(self.rows[t], v)]
 
     def apply_z(self, t: int, w: list, k: int, cut: int, form: tuple) -> list:
         """Action of D_t on w/D^k, w a vector over Z[x, y] packed as in form =
@@ -177,7 +160,7 @@ class QuotientAction:
             acc = {}
             get = acc.get
             dw = [(e - bt - bn, c * n) for e, c in wi if (n := e // bt % b)]
-            for f, g in ((D, dw), (kdD, wi), *zip(row, w)):
+            for f, g in ((D, dw), (kdD, wi), *((bij, w[j]) for j, bij in row)):
                 for e1, c1 in f:
                     for e2, c2 in g:
                         if (e := e1 + e2) >= lim:
@@ -423,7 +406,7 @@ def normalize_by_shear(gb: GroebnerBasis) -> tuple[tuple[Fraction, ...], Groebne
     rng = random.Random(0)
     draws = [(0,) * gb.nvars] + [tuple(rng.randint(-5, 5) for _ in range(gb.nvars)) for _ in range(19)]
     judged = set()
-    for c in chain(draws, _shear_grid(gb.nvars, act.r, act.q_rows is not None)):
+    for c in chain(draws, _shear_grid(gb.nvars, act.r, gb.over_q)):
         if c in judged:
             continue
         judged.add(c)

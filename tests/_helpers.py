@@ -568,7 +568,7 @@ def reference_in_normal_position(gb):
     basis has order r = dim of the quotient."""
     from oreshape.shape import eliminate_dx
 
-    return eliminate_dx(gb, "krylov").order_in(0) == gb.dimension()
+    return eliminate_dx(gb, "krylov").max_order() == gb.dimension()
 
 
 def reference_normalize_by_shear(gb):
@@ -618,7 +618,8 @@ def conjugate(gb, c):
 def reference_solve_series(gb, order):
     """The former series.solve_series: the same walk of quotient coordinates,
     always over K from act.coords(1), each step d/dt c + A_t*c written out
-    from act.matrices rather than taken from QuotientAction.apply, and each
+    with the columns A_t[., j] = act.coords(D_t*D^(b_j)) for the standard
+    monomials b_j, not taken from QuotientAction.rows or apply, and each
     coordinate's value at 0 taken by RatFunc.evaluate, so a pole is a
     denominator that evaluates to 0 there."""
     from oreshape.arith import RatFunc
@@ -632,6 +633,8 @@ def reference_solve_series(gb, order):
     if r == 0:
         return SolutionBasis(nvars, 0, order, (), ())
     origin = (Fraction(0),) * (nvars + 1)
+    columns = [[act.coords(OreOperator.D(nvars, t) * OreOperator.monomial(nvars, dm)) for dm in act.basis]
+               for t in range(nvars + 1)]
     coords = {}
     coeff_dicts = [{} for _ in range(r)]
     for m in _graded_monomials(nvars + 1, order):
@@ -639,8 +642,8 @@ def reference_solve_series(gb, order):
             t = next(i for i, e in enumerate(m) if e)
             prev = list(m)
             prev[t] -= 1
-            v, A = coords[tuple(prev)], act.matrices[t]
-            coords[m] = [v[i].derivative(t) + sum((A[i][j] * v[j] for j in range(r)), RatFunc.zero(nvars))
+            v, cols = coords[tuple(prev)], columns[t]
+            coords[m] = [v[i].derivative(t) + sum((cols[j][i] * v[j] for j in range(r)), RatFunc.zero(nvars))
                          for i in range(r)]
         else:
             coords[m] = act.coords(OreOperator.one(nvars))

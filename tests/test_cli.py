@@ -23,7 +23,7 @@ from oreshape.errors import OreShapeError
 from oreshape.gb import GroebnerBasis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
-from oreshape.series import MAX_DEPENDENCE_WORK, MAX_SERIES_MONOMIALS
+from oreshape.series import MAX_DEPENDENCE_WORK, MAX_SERIES_MONOMIALS, MAX_WRONSKIAN_WORK
 
 from _helpers import rand_operator
 
@@ -465,6 +465,25 @@ def test_oversized_dependence_system_exits_4(capsys, monkeypatch):
     assert time.perf_counter() - start < 5
     assert code == 4 and "Traceback" not in err
     assert json.loads(out)["error"]["message"].startswith("dependence system of 595 x 160 needs 15232000 units")
+
+
+@pytest.mark.parametrize("argv", [("wronskian",), ("check-normal", "--via", "series")])
+def test_oversized_wronskian_exits_4(capsys, monkeypatch, argv):
+    # Ten exponentials at --trunc 12: the cofactor expansion would make
+    # P(10) = 6,235,300 series products, each pairing up to M(12) = 78 terms
+    # with M(3) = 6; refused before the first one, where the expansion ran
+    # past 60 s
+    roots = "*".join(f"(Dx - {k})" for k in range(10))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--trunc", "12", "--json",
+                         stdin=f"{roots}\nDy - Dx^2 + 3*Dx\n", monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 10
+    assert code == 4 and "Traceback" not in err
+    assert json.loads(out)["error"] == {
+        "type": "ResourceLimit",
+        "message": f"a Wronskian of 10 series of order 12 needs {6235300 * 78 * 6 * 12} units of work, "
+                   f"more than {MAX_WRONSKIAN_WORK}",
+    }
 
 
 def test_json_mode_formats_no_series_lines(capsys, monkeypatch):

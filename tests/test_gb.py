@@ -479,16 +479,19 @@ def test_unit_ideal_reduces_to_one():
     assert list(G2.gens) == [one]
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
     (dx, dy), _, one = sym(1)
     o = TermOrder.degrevlex(1)
+    monkeypatch.setattr(gb, "MAX_DEGREE", 1)
     with pytest.raises(DegreeCapExceeded):
-        groebner_basis([(dx - one) * (dx - 2 * one), dy], o, degree_cap=1)
+        groebner_basis([(dx - one) * (dx - 2 * one), dy], o)
     # inputs within the cap whose completion forms an operator above it
     y = OreOperator.from_coeff(RatFunc.var(1, 1))
     gens = [dx * dy + y * dy * dy, dx * dx]
+    monkeypatch.setattr(gb, "MAX_DEGREE", 2)
     with pytest.raises(DegreeCapExceeded, match="completion produced order 3, cap is 2"):
-        groebner_basis(gens, o, degree_cap=2)
+        groebner_basis(gens, o)
+    monkeypatch.undo()
     completed = groebner_basis(gens, o)
     assert max(g.max_order() for g in completed.gens) == 3 and completed.dimension() == 4
 

@@ -626,14 +626,13 @@ def test_walk_over_z_matches_the_walk_over_k(monkeypatch):
 
 
 def test_walk_over_z_computes_no_gcd(monkeypatch):
-    # The integer form of the action takes its gcds once, when it is built;
+    # The action and its integer form take their gcds once, when built;
     # the walk takes none, so a walk to order 30 takes as many as one to 6.
     (dx, dy), one = sym(1)
     mult = OreOperator.from_coeff(RatFunc.var(1, 0)) * dx + one
     counts = []
     for order in (6, 30):
         gb = groebner_basis(gauge_transform(fixture_gb("two_points"), mult).generators(), TermOrder.degrevlex(1))
-        quotient_action(gb).matrices
         calls = []
         with monkeypatch.context() as patch:
             gcd = arith.poly_gcd
@@ -651,7 +650,7 @@ def test_pole_the_walk_never_reaches_is_not_refused():
     (dx, dy), one = sym(1)
     inv_x = OreOperator.from_coeff(1 / RatFunc.var(1, 0))
     gb = groebner_basis([dx * dx - inv_x * dx, dy], TermOrder.degrevlex(1))
-    assert [a.den.is_one() for row in quotient_action(gb).matrices[0] for a in row] == [True, True, True, False]
+    assert quotient_action(gb).rows[0] == [[], [(0, RatFunc.one(1)), (1, 1 / RatFunc.var(1, 0))]]
     for order in (1, 2):
         assert solve_series(gb, order) == reference_solve_series(gb, order)
     for order in (3, 4):
@@ -675,6 +674,28 @@ def test_deeper_recheck_is_bounded(monkeypatch):
     with pytest.raises(ResourceLimit, match=rf"^deeper re-check of 22 x 210 needs {work} units of work, more than {work - 1}$"):
         d_radical_check(gb)
     assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0, "Z": 0}
+
+
+def test_wronskian_is_bounded(monkeypatch):
+    # Four exponentials at order 10: the cofactor expansion makes P(4) = 40
+    # series products, each pairing at most M(10) = 55 terms with M(7) = 28.
+    # The bound admits 40 x 55 x 28 x 10 units of work and refuses one unit
+    # more, before the first product.
+    nvars, ops = parse_ideal_file("*".join(f"(Dx - {k})" for k in range(4)) + "\nDy - Dx^2 + 3*Dx\n")
+    sol = solve_series(groebner_basis(ops, TermOrder.degrevlex(nvars)), 10)
+    products = []
+    real = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or real(f, g))
+    work = 40 * 55 * 28 * 10
+    monkeypatch.setattr(series, "MAX_WRONSKIAN_WORK", work)
+    w = wronskian_x(sol.members)
+    assert len(products) == 40 and w.order == 7 and not w.is_zero()
+    products.clear()
+    monkeypatch.setattr(series, "MAX_WRONSKIAN_WORK", work - 1)
+    with pytest.raises(ResourceLimit, match=rf"^a Wronskian of 4 series of order 10 needs {work} units of work, "
+                                            rf"more than {work - 1}$"):
+        wronskian_x(sol.members)
+    assert products == []
 
 
 def _count_steps(monkeypatch):

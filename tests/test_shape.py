@@ -46,6 +46,7 @@ from oreshape.shape import (
 )
 
 from _helpers import (
+    conjugate,
     disguised_two_point_ideal,
     rand_ratfunc,
     reference_in_normal_position,
@@ -85,36 +86,46 @@ def fixture_gb(name):
 # quotient action
 
 
-def test_action_matrices_for_two_points():
+def test_action_rows_for_two_points():
     act = quotient_action(fixture_gb("two_points"))
     assert act.basis == [(0, 0), (1, 0)]
-    two = RatFunc.const(1, 2)
-    three = RatFunc.const(1, 3)
-    zero = RatFunc.zero(1)
-    one = RatFunc.one(1)
-    # Dx * 1 = Dx, Dx * Dx = Dx^2 = 3 Dx - 2 in the quotient
-    assert act.matrices[0] == [[zero, -two], [one, three]]
-    assert act.matrices[1] == [[zero, zero], [zero, zero]]
+    # Dx * 1 = Dx, Dx * Dx = Dx^2 = 3 Dx - 2 in the quotient; Dy acts as 0
+    assert act.rows == [[[(1, -2)], [(0, 1), (1, 3)]], [[], []]]
 
 
-def test_action_matrices_over_q_lift_q_rows(monkeypatch):
-    # over Q the matrices over K are q_rows lifted to constants: asking for
-    # them reduces nothing again, and column j of A_t is still the
-    # coordinates of D_t times the j-th standard monomial
-    bases = [gb for gb in _fixture_and_golden_bases() + [_three_points()] if gb.over_q and gb.dimension()]
-    assert len(bases) >= 5
+def test_action_rows_are_the_normal_forms_reduced_once(monkeypatch):
+    # Over Q and over K, rows[t] holds the nonzero entries of A_t, whose
+    # column j is coords(D_t * m_j); construction makes the (n + 1)*r
+    # reductions of D_t * m_j, and no later step reduces one of them again.
+    bases = _fixture_and_golden_bases() + [_three_points()]
+    bases += [conjugate(fixture_gb(name), Fraction(2)) for name in ("two_points", "exp_pair", "nilpotent_y")]
+    bases = [gb for gb in bases if gb.dimension()]
+    assert sum(gb.over_q for gb in bases) >= 5 and sum(not gb.over_q for gb in bases) >= 4
     real = GroebnerBasis.reduce
+    reductions = []
+    def spy(self, f):
+        reductions.append(f)
+        return real(self, f)
+
     for gb in bases:
-        act = QuotientAction(gb)
-        reductions = []
-        monkeypatch.setattr(GroebnerBasis, "reduce", lambda self, f: reductions.append(f) or real(self, f))
-        matrices = act.matrices
+        nvars, basis = gb.nvars, gb.quotient_basis()
+        reductions.clear()
+        monkeypatch.setattr(GroebnerBasis, "reduce", spy)
+        act = quotient_action(gb)
+        assert len(reductions) == (nvars + 1) * act.r
         monkeypatch.undo()
-        assert reductions == []
-        nvars = gb.nvars
-        for t, A in enumerate(matrices):
-            cols = [act.coords(OreOperator.D(nvars, t) * OreOperator.monomial(nvars, dm)) for dm in act.basis]
-            assert A == [list(row) for row in zip(*cols)]
+        m = cyclic_vector(gb)
+        monkeypatch.setattr(GroebnerBasis, "reduce", spy)
+        reductions.clear()
+        gauge_transform(gb, m)
+        solve_series(gb, 5)
+        monkeypatch.undo()
+        assert reductions == [m]
+        field = Fraction if gb.over_q else RatFunc
+        for t, rows in enumerate(act.rows):
+            cols = [act.coords(OreOperator.D(nvars, t) * OreOperator.monomial(nvars, dm)) for dm in basis]
+            assert rows == [[(j, a) for j, a in enumerate(row) if a] for row in zip(*cols)]
+            assert all(type(a) is field for row in rows for _, a in row)
 
 
 def test_action_matches_reduction():
@@ -202,7 +213,7 @@ def test_eliminate_methods_agree():
         # membership and shape of the eliminant
         assert gb.reduce(p_krylov).is_zero()
         assert p_krylov.is_free_of(1)
-        assert p_krylov.order_in(0) <= gb.dimension()
+        assert p_krylov.max_order() <= gb.dimension()
 
 
 def test_eliminate_two_exp_product():
