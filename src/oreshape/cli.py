@@ -276,11 +276,12 @@ def cmd_solve(args, inp: _Input):
 
 
 def cmd_wronskian(args, inp: _Input):
-    sol = solve_series(inp.ideal(), order=args.trunc)
-    if sol.r == 0:
+    gb = inp.ideal()
+    w = inp.swapped(wronskian_x(gb, order=args.trunc))
+    r = gb.dimension()
+    if r == 0:
         raise NotZeroDimensional("the unit ideal has no solutions to take a Wronskian of")
-    w = inp.swapped(wronskian_x(sol.members))
-    return {"dimension": sol.r, "wronskian": w}, map(format_series, [w])
+    return {"dimension": r, "wronskian": w}, map(format_series, [w])
 
 
 def cmd_gauge(args, inp: _Input):

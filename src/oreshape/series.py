@@ -21,12 +21,31 @@ included, is a ResourceLimit raised before its first step, and so is a
 D-radical system, or a re-check of its kernel, that would cost more than
 MAX_DEPENDENCE_WORK.
 
-The Wronskian in x is computed by cofactor expansion: the ring of truncated
-series has zero divisors, so elimination with division is not available.
-Differentiating r - 1 times costs r - 1 guaranteed orders, which is the
-recorded order of the result.  The expansion makes a number of series
-products that grows like r!, so one whose work would pass
-MAX_WRONSKIAN_WORK is a ResourceLimit raised before its first product.
+The Wronskian in x of the solution basis comes from Liouville's formula
+(Abel-Jacobi-Liouville; Coddington and Levinson, Theory of Ordinary
+Differential Equations, McGraw-Hill 1955, ch. 1), with no member walked.
+Let F_(j,k) = D^(b_j) f_k for the standard monomials b_j and the members
+f_k.  Their normalization gives F(0) = I, and D_t*D^(b_j) = sum_i
+A_t[i][j]*D^(b_i) modulo I gives d/dt F = A_t^T*F, so det F is the series
+g with d/dt g = tr(A_t)*g and g(0) = 1.  The Wronskian matrix is Kry*F,
+where the rows of Kry are the Krylov vectors 1, Dx, ..., Dx^(r-1) of the
+class of 1, so W = series(det Kry)*g, cut at order - (r - 1): differentiating
+r - 1 times costs r - 1 guaranteed orders.  det Kry is read off the echelon
+of shape's Krylov walk (the sign of the pivot permutation times the product
+of the pivots); a walk that stops before r means the ideal is not in normal
+position and W = 0.  tr(A_t) is the diagonal of the action's rows.  With
+tr(A_t) = N_t/T_t and det Kry = P/Q, every coefficient of g and of W comes
+from earlier ones by a recurrence, T_t*d/dt g = N_t*g and Q*W = P*g, at
+a cost linear in the monomials below the order.  Over Q, T_t = Q = 1 and
+g = exp(sum tr(A_t)*x_t).  Over K this needs T_t(0) and Q(0) nonzero,
+which holds when D(0) != 0 (the walk over Z), since both divide powers of
+D.  When D(0) = 0 an entry of A_t may have a pole that a low-order walk
+never reaches, so the Wronskian is taken as before: the members are walked
+over K, keeping NonOrdinaryOrigin, and their determinant is expanded by
+cofactors, since the ring of truncated series has zero divisors.  That
+expansion makes a number of series products that grows like r!, so one
+whose work would pass MAX_WRONSKIAN_WORK is a ResourceLimit raised before
+its first product.
 
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
@@ -53,14 +72,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, gcd, lcm
-from operator import sub
+from operator import mul, sub
 
-from .arith import MultiPoly, RatFunc, grevlex_key
+from .arith import MultiPoly, RatFunc
 from .errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
 from .gb import GroebnerBasis
 from .ore import TruncSeries
-from .shape import _q_echelon, quotient_action
+from .shape import _krylov_walk, _q_echelon, quotient_action
 
 DEPENDENCE_FOUND = "DependenceFound"
 NO_DEPENDENCE = "NoDependenceUpToBound"
@@ -98,25 +118,27 @@ class SolutionBasis:
 
 
 def _graded_monomials(nsyms: int, bound: int, start: int = 0):
-    """Exponent tuples with start <= total degree < bound, by degree then grevlex."""
-    def exact(prefix, remaining, slots):
+    """Exponent tuples with start <= total degree < bound, by degree then
+    grevlex: within a degree the last exponent falls first, then the one
+    before it, so no layer needs a sort."""
+    def exact(suffix, remaining, slots):
         if slots == 1:
-            yield (*prefix, remaining)
+            yield (remaining, *suffix)
             return
-        for e in range(remaining + 1):
-            yield from exact((*prefix, e), remaining - e, slots - 1)
+        for e in range(remaining, -1, -1):
+            yield from exact((e, *suffix), remaining - e, slots - 1)
 
     for d in range(start, bound):
-        yield from sorted(exact((), d, nsyms), key=grevlex_key)
+        yield from exact((), d, nsyms)
 
 
 class _Expansion:
     """The coefficient walk behind solve_series, resumable up to order `top`.
 
-    Holds the Taylor coefficients read off so far and the quotient
-    coordinates (over Z, their numerators) of the last degree layer walked,
-    which is all the next layer needs; solution(order) walks only the layers
-    below `order` not yet reached."""
+    Holds the Taylor coefficients read off so far and, for each monomial m
+    of the last degree layer walked, its quotient coordinates (over Z, their
+    numerators) and m!, which is all the next layer needs; solution(order)
+    walks only the layers below `order` not yet reached."""
 
     def __init__(self, act, top: int):
         if act.r and comb(top + act.nvars, act.nvars + 1) > MAX_SERIES_MONOMIALS:
@@ -138,27 +160,30 @@ class _Expansion:
         d0 = self.d0
         for d in range(self.reached, order):
             layer = {}
+            scale = d0**d if d0 else 1  # D(0)^|m|
             for m in _graded_monomials(nvars + 1, d + 1, d):
                 if d == 0:
                     cm = [{} if any(dm) else {0: 1} for dm in act.basis] if d0 else act.unit()
+                    fact = 1
                 else:
                     t = next(i for i, e in enumerate(m) if e)
-                    prev = self.layer[m[:t] + (m[t] - 1,) + m[t + 1:]]
+                    prev, fact = self.layer[m[:t] + (m[t] - 1,) + m[t + 1:]]
                     cm = act.apply_z(t, prev, d - 1, self.top - d, self.form) if d0 else act.apply(t, prev)
-                layer[m] = cm
-                fact = d0**d if d0 else 1
-                for e in m:
-                    fact *= factorial(e)
+                    fact *= m[t]  # m! = (m - e_t)!*m_t
+                layer[m] = cm, fact
+                div = scale * fact
                 for k, c in enumerate(cm):
                     if type(c) is dict:
-                        c = Fraction(c.get(0, 0))
+                        c = c.get(0) and Fraction(c[0], div)
                     elif isinstance(c, RatFunc):
                         den0 = c.den.terms.get(zero)
                         if den0 is None:
                             raise NonOrdinaryOrigin(f"quotient coordinate for derivative monomial {m} has a pole at 0")
-                        c = c.num.terms.get(zero, 0) / den0
+                        c = c.num.terms.get(zero, 0) / den0 / fact
+                    else:
+                        c = c / fact
                     if c:
-                        self.coeff_dicts[k][m] = c / fact
+                        self.coeff_dicts[k][m] = c
             self.layer = layer
         self.reached = max(self.reached, order)
         members = tuple(TruncSeries(nvars, order, d) for d in self.coeff_dicts)
@@ -182,7 +207,12 @@ def _det(rows: list[list[TruncSeries]]) -> TruncSeries:
     return total
 
 
-def wronskian_x(members) -> TruncSeries:
+def _check_wronskian_order(n: int, r: int) -> None:
+    if n - (r - 1) < 1:
+        raise TruncationTooSmall(f"need guaranteed order above {r - 1} to differentiate {r} members")
+
+
+def _cofactor_wronskian(members) -> TruncSeries:
     """Wronskian determinant in x of the given series, by cofactor expansion.
 
     The recorded order is min(member orders) - (len(members) - 1).  Refused
@@ -192,8 +222,7 @@ def wronskian_x(members) -> TruncSeries:
         raise ValueError("wronskian of an empty family")
     n = min(f.order for f in members)
     r = len(members)
-    if n - (r - 1) < 1:
-        raise TruncationTooSmall(f"need guaranteed order above {r - 1} to differentiate {r} members")
+    _check_wronskian_order(n, r)
     nvars = members[0].nvars
     products = sum(factorial(r) // factorial(k) for k in range(1, r))  # P(r), see MAX_WRONSKIAN_WORK
     work = products * comb(n + nvars, nvars + 1) * comb(n - r + 1 + nvars, nvars + 1) * n
@@ -206,15 +235,85 @@ def wronskian_x(members) -> TruncSeries:
     return _det(rows)
 
 
+def _num_den(v, zero: tuple) -> tuple[list, Fraction, list]:
+    """(N, D(0), D - D(0)) for v = N/D in K or in Q with D(0) != 0, the
+    polynomials as terms (exponent tuple, coefficient)."""
+    if not isinstance(v, RatFunc):
+        return [(zero, v)], 1, []
+    den = dict(v.den.terms)
+    return list(v.num.terms.items()), den.pop(zero), list(den.items())
+
+
+def _pull(terms: list, coeffs: dict, m: tuple) -> Fraction:
+    """sum c*coeffs[m - e] over the terms (e, c): the coefficient on m of a
+    product (a rest with a negative exponent is no key of coeffs)."""
+    total = 0
+    for e, c in terms:
+        v = coeffs.get(tuple(map(sub, m, e)))
+        if v:
+            total += c * v
+    return total
+
+
+def _liouville(act, n: int) -> TruncSeries:
+    """W = series(det Kry)*g below order n, for r > 0 over Q or over K with
+    D(0) != 0 (see the module docstring)."""
+    r, nvars = act.r, act.nvars
+    zero = (0,) * (nvars + 1)
+    lam, ech = _krylov_walk(act, act.unit())
+    if len(lam) < r:
+        return TruncSeries(nvars, n)
+    # Kry = L*R, with R the echelon rows (1 at their own pivot, 0 at the
+    # pivots before it) and L lower triangular with the pivot values
+    # 1/comb[-1] on its diagonal: det Kry = sign(pivot permutation)*product.
+    pivots = [p for p, _, _ in ech.rows]
+    flips = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    det = ech.one / reduce(mul, (c[-1] for _, _, c in ech.rows))
+    p, q0, q_rest = _num_den(-det if flips % 2 else det, zero)
+    traces = [_num_den(sum((a for i, row in enumerate(At) for j, a in row if j == i), ech.zero), zero)
+              for At in act.rows]
+    g, w = {}, {}
+    for m in _graded_monomials(nvars + 1, n):
+        if any(m):
+            # T_t*d/dt g = N_t*g at m - e_t, for the first variable t of m
+            t = next(i for i, e in enumerate(m) if e)
+            num, t0, t_rest = traces[t]
+            rest = [(e, a * (m[t] - e[t])) for e, a in t_rest]
+            c = _pull(num, g, m[:t] + (m[t] - 1,) + m[t + 1:]) - _pull(rest, g, m)
+            if c:
+                g[m] = c / (t0 * m[t])
+        else:
+            g[m] = Fraction(1)
+        c = _pull(p, g, m) - _pull(q_rest, w, m)  # Q*W = P*g
+        if c:
+            w[m] = c / q0
+    return TruncSeries(nvars, n, w)
+
+
+def wronskian_x(gb: GroebnerBasis, order: int = 8) -> TruncSeries:
+    """Wronskian determinant in x of the canonical solution basis of
+    solve_series(gb, order), guaranteed to order - (r - 1), by Liouville's
+    formula, or over K with D(0) = 0 by cofactor expansion of the walked
+    members (see the module docstring).  The unit ideal's empty family has
+    the empty determinant 1."""
+    if order < 1:
+        raise TruncationTooSmall("series order must be at least 1")
+    act = quotient_action(gb)
+    expansion = _Expansion(act, order)
+    if act.r == 0:
+        return TruncSeries.one(act.nvars, order + 1)
+    if not (gb.over_q or expansion.d0):
+        return _cofactor_wronskian(expansion.solution(order).members)
+    _check_wronskian_order(order, act.r)
+    return _liouville(act, order - (act.r - 1))
+
+
 def in_normal_position_series(gb: GroebnerBasis, order: int = 8) -> bool:
     """Truncated-Wronskian proxy for normal position: nonzero Wronskian of
     the solution basis below the guaranteed order.  A zero result can be a
     truncation artifact for adversarial inputs; the algebraic test is the
     authority."""
-    sol = solve_series(gb, order)
-    if sol.r == 0:
-        return True
-    return not wronskian_x(sol.members).is_zero()
+    return not wronskian_x(gb, order).is_zero()
 
 
 @dataclass(frozen=True)

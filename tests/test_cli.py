@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -20,12 +22,12 @@ from oreshape import cli
 from oreshape.arith import MultiPoly, RatFunc, format_monomial, join_sum, power_product, var_name
 from oreshape.cli import main
 from oreshape.errors import OreShapeError
-from oreshape.gb import GroebnerBasis
+from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
-from oreshape.series import MAX_DEPENDENCE_WORK, MAX_SERIES_MONOMIALS, MAX_WRONSKIAN_WORK
+from oreshape.series import MAX_DEPENDENCE_WORK, MAX_SERIES_MONOMIALS, solve_series
 
-from _helpers import rand_operator
+from _helpers import exp_series, poly_times_exp_series, rand_operator
 
 TWO_POINTS = "Dx^2 - 3*Dx + 2\nDy\n"
 EXP_PAIR = "Dx - 1\nDy^2 - Dy\n"
@@ -467,23 +469,93 @@ def test_oversized_dependence_system_exits_4(capsys, monkeypatch):
     assert json.loads(out)["error"]["message"].startswith("dependence system of 595 x 160 needs 15232000 units")
 
 
-@pytest.mark.parametrize("argv", [("wronskian",), ("check-normal", "--via", "series")])
-def test_oversized_wronskian_exits_4(capsys, monkeypatch, argv):
-    # Ten exponentials at --trunc 12: the cofactor expansion would make
-    # P(10) = 6,235,300 series products, each pairing up to M(12) = 78 terms
-    # with M(3) = 6; refused before the first one, where the expansion ran
-    # past 60 s
-    roots = "*".join(f"(Dx - {k})" for k in range(10))
+def _fraction_det(rows):
+    """Determinant over Q by Gaussian elimination with row swaps."""
+    rows = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def _series_of(obj):
+    """A JSON series as (order, {exponent tuple: Fraction})."""
+    return obj["order"], {tuple(t["exponents"]): Fraction(t["coefficient"]) for t in obj["terms"]}
+
+
+TEN_EXPONENTIALS = "*".join(f"(Dx - {k})" for k in range(10)) + "\nDy - Dx^2 + 3*Dx\n"
+
+
+def test_ten_exponential_wronskian_answers(capsys, monkeypatch):
+    # The solutions exp(k*x + (k^2 - 3*k)*y), k = 0..9, at --trunc 12: the
+    # cofactor expansion would make P(10) = 6,235,300 series products and was
+    # refused (exit 4).  By Liouville's formula W = W(0)*exp(45*x + 150*y),
+    # with tr A_x = sum k = 45 and tr A_y = sum (k^2 - 3*k) = 150.  W(0) is
+    # the determinant of the x-derivatives of the walked members at 0.
+    nvars, ops = parse_ideal_file(TEN_EXPONENTIALS)
+    members = solve_series(groebner_basis(ops, TermOrder.degrevlex(nvars)), 10).members
+    w0 = _fraction_det([[factorial(i) * f.coefficient((i, 0)) for f in members] for i in range(10)])
+    assert w0 == Fraction(1, 30)
     start = time.perf_counter()
-    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--trunc", "12", "--json",
-                         stdin=f"{roots}\nDy - Dx^2 + 3*Dx\n", monkeypatch=monkeypatch)
+    code, out, err = run(capsys, "wronskian", "-", "--trunc", "12", "--json", stdin=TEN_EXPONENTIALS,
+                         monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 10
-    assert code == 4 and "Traceback" not in err
-    assert json.loads(out)["error"] == {
-        "type": "ResourceLimit",
-        "message": f"a Wronskian of 10 series of order 12 needs {6235300 * 78 * 6 * 12} units of work, "
-                   f"more than {MAX_WRONSKIAN_WORK}",
-    }
+    assert code == 0 and "Traceback" not in err
+    order, w = _series_of(json.loads(out)["result"]["wronskian"])
+    assert order == 3
+    assert w == {e: w0 * c for e, c in exp_series(1, 3, (45, 150)).coeffs.items()}
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-normal", "-", "--via", "series", "--trunc", "12", stdin=TEN_EXPONENTIALS,
+                         monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (0, "normal: true\nalgebraic agrees: true\n")
+
+
+# The gauge of the points (-1, 0), (1, -1), (2, -1) by -2*x - 2, as CI takes it
+RATIONAL_R3N1 = (
+    "# nvars 1\n-1/6*Dx^2 + (1/2*x + 5/6)/(x + 1)*Dx + Dy + (2/3*x^2 + 5/6*x - 1/6)/(x^2 + 2*x + 1)\n"
+    "Dx^3 + (-2*x - 5)/(x + 1)*Dx^2 + (-x^2 + 2*x + 9)/(x^2 + 2*x + 1)*Dx"
+    " + (2*x^3 + 7*x^2 + 4*x - 7)/(x^3 + 3*x^2 + 3*x + 1)\n"
+)
+
+
+def test_rational_wronskian_at_trunc_100_answers(capsys, monkeypatch):
+    # Its solutions are (x + 1)*exp(a*x + b*y) at the three points, so W is
+    # c*(x + 1)^3*exp(2*x - 2*y), c != 0.  The cofactor expansion refused it.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wronskian", "-", "--trunc", "100", "--json", stdin=RATIONAL_R3N1,
+                         monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 10
+    assert code == 0 and "Traceback" not in err
+    order, w = _series_of(json.loads(out)["result"]["wronskian"])
+    cube = {(k, 0): Fraction(comb(3, k)) for k in range(4)}
+    want = poly_times_exp_series(1, 98, cube, (2, -2)).coeffs
+    assert order == 98 and len(want) == comb(99, 2)
+    c = w[(0, 0)]
+    assert c and w == {e: c * v for e, v in want.items()}
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("wronskian",), ""),
+    (("check-normal", "--via", "series"), "normal: true\nalgebraic agrees: true\n"),
+])
+def test_unit_ideal_wronskian(capsys, monkeypatch, argv, out):
+    # the unit ideal has no solutions: wronskian exits 3, check-normal
+    # --via series calls it normal (r = 0, the empty Krylov family)
+    for trunc in ("1", "12"):
+        code, got, err = run(capsys, argv[0], "-", *argv[1:], "--trunc", trunc, stdin="Dx - 1\nDx - 2\n",
+                             monkeypatch=monkeypatch)
+        assert (code, got) == ((3, "") if not out else (0, out))
+        assert err == ("error: the unit ideal has no solutions to take a Wronskian of\n" if not out else "")
 
 
 def test_json_mode_formats_no_series_lines(capsys, monkeypatch):

@@ -16,7 +16,9 @@ The last properties compare the walks over Q and over K, the series walk
 and the Krylov walk, on constant-coefficient ideals, drawn from _helpers:
 two points or a double point, some hidden by elementary steps with
 constant or rational coefficients; and, on the same ideals conjugated by
-x + c, the series walk over Z[x, y] with the walk over K.
+x + c, the series walk over Z[x, y] with the walk over K; and on both, the
+Wronskian by Liouville's formula with the cofactor expansion of the walked
+members.
 """
 
 import contextlib
@@ -34,11 +36,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oreshape import gb
 from oreshape.cli import _exit_code, main
-from oreshape.errors import OreShapeError
+from oreshape.errors import OreShapeError, TruncationTooSmall
 from oreshape.gb import TermOrder, _spoly, groebner_basis
 from oreshape.ore import OreOperator
 from oreshape.parsing import parse_ideal_file, parse_operator
-from oreshape.series import NO_DEPENDENCE, _Expansion, d_radical_check, solve_series
+from oreshape.series import NO_DEPENDENCE, _cofactor_wronskian, _Expansion, d_radical_check, solve_series, wronskian_x
 from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action, shear_ideal
 
 from _helpers import (
@@ -190,6 +192,27 @@ def test_walk_over_z_matches_the_walk_over_k(ideal, c, order):
     gb = conjugate(groebner_basis(gens, TermOrder.degrevlex(nvars)), c)
     assert _Expansion(quotient_action(gb), order).d0
     assert solve_series(gb, order) == reference_solve_series(gb, order)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(constant_ideals(), st.sampled_from([0, 0, 2, -3, Fraction(3, 2), Fraction(-1, 3)]), st.integers(1, 8),
+       st.booleans())
+def test_wronskian_matches_the_cofactor_expansion(ideal, c, order, swap):
+    # over Q, or conjugated by x + c over K with D(0) != 0; swapped, as by
+    # --main-var, so that some ideals are not in normal position (W = 0)
+    nvars, gens, _ = ideal
+    if swap:
+        gens = [g.swap_roles(nvars) for g in gens]
+    gb = groebner_basis(gens, TermOrder.degrevlex(nvars))
+    if c:
+        gb = conjugate(gb, c)
+    assert gb.over_q == (not c)
+    sol = solve_series(gb, order)
+    if order < sol.r:
+        with pytest.raises(TruncationTooSmall, match=f"^need guaranteed order above {sol.r - 1} "):
+            wronskian_x(gb, order)
+    else:
+        assert wronskian_x(gb, order) == _cofactor_wronskian(sol.members)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from oreshape import arith, series
-from oreshape.arith import MultiPoly, RatFunc
-from oreshape.errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
+from oreshape.arith import MultiPoly, RatFunc, grevlex_key
+from oreshape.errors import NonOrdinaryOrigin, OreShapeError, ResourceLimit, TruncationTooSmall
 from oreshape.gb import TermOrder, groebner_basis
 from oreshape.ore import OreOperator, TruncSeries
 from oreshape.parsing import parse_ideal_file
@@ -28,6 +28,7 @@ from oreshape.series import (
     DRadicalVerdict,
     SolutionBasis,
     _Expansion,
+    _cofactor_wronskian,
     _graded_monomials,
     _kernel_basis,
     d_radical_check,
@@ -37,6 +38,7 @@ from oreshape.series import (
 )
 from oreshape.shape import (
     QuotientAction,
+    _krylov_walk,
     cyclic_vector,
     gauge_transform,
     in_normal_position,
@@ -48,6 +50,7 @@ from _helpers import (
     conjugate,
     disguise,
     exp_series,
+    MULTIPLICITIES,
     monomials_below,
     poly_times_exp_series,
     reference_kernel_basis,
@@ -105,8 +108,9 @@ def test_graded_monomials_matches_reference():
     for nsyms, bound in ((2, 5), (3, 4)):
         got = list(_graded_monomials(nsyms, bound))
         assert sorted(got) == sorted(monomials_below(nsyms - 1, bound))
-        degrees = [sum(m) for m in got]
-        assert degrees == sorted(degrees)
+        # each layer in grevlex order, as generated, with no sort
+        assert got == sorted(got, key=grevlex_key)
+        assert list(_graded_monomials(nsyms, bound, 2)) == got[nsyms + 1:]
     assert list(_graded_monomials(2, 1)) == [(0, 0)]
     assert list(_graded_monomials(2, 0)) == []
 
@@ -381,8 +385,7 @@ def test_order_must_be_positive():
 
 
 def test_wronskian_of_two_point_basis_is_exp_3x():
-    sol = solve_series(fixture_gb("two_points"), order=9)
-    w = wronskian_x(sol.members)
+    w = wronskian_x(fixture_gb("two_points"), order=9)
     assert w.order == 8
     for k in range(8):
         assert w.coefficient((k, 0)) == Fraction(3**k, factorial(k))
@@ -390,27 +393,149 @@ def test_wronskian_of_two_point_basis_is_exp_3x():
 
 def test_wronskian_order_bookkeeping():
     sol = solve_series(fixture_gb("two_points"), order=6)
-    assert wronskian_x(sol.members).order == 5
-    assert wronskian_x(sol.members[:1]).order == 6
+    assert wronskian_x(fixture_gb("two_points"), 6).order == 5
+    assert _cofactor_wronskian(sol.members).order == 5
+    assert _cofactor_wronskian(sol.members[:1]).order == 6
 
 
 def test_wronskian_vanishes_for_x_dependent_family():
     # exp(x) and y exp(x) are proportional over the y-constants
     sol = solve_series(fixture_gb("nilpotent_y"), order=8)
-    assert wronskian_x(sol.members).is_zero()
+    assert _cofactor_wronskian(sol.members).is_zero()
+    assert wronskian_x(fixture_gb("nilpotent_y"), 8) == TruncSeries(1, 7)
 
 
 def test_wronskian_single_member_is_the_member():
     sol = solve_series(fixture_gb("two_points"), order=6)
-    assert wronskian_x(sol.members[:1]) == sol.members[0]
+    assert _cofactor_wronskian(sol.members[:1]) == sol.members[0]
 
 
 def test_wronskian_needs_enough_order():
     f = TruncSeries(1, 1, {(0, 0): Fraction(1)})
     with pytest.raises(TruncationTooSmall):
-        wronskian_x([f, f])
+        _cofactor_wronskian([f, f])
     with pytest.raises(ValueError):
-        wronskian_x([])
+        _cofactor_wronskian([])
+
+
+def _wronskian_outcome(wronskian, gb, order):
+    """The Wronskian, or the type and message of the OreShapeError raised."""
+    try:
+        return wronskian(gb, order)
+    except OreShapeError as exc:
+        return type(exc), str(exc)
+
+
+def _walked_wronskian(gb, order):
+    """The Wronskian as taken before Liouville's formula: the solution basis
+    walked, then its determinant expanded by cofactors."""
+    return _cofactor_wronskian(solve_series(gb, order).members)
+
+
+def _assert_wronskian_matches_cofactors(gb, orders):
+    for order in orders:
+        got = _wronskian_outcome(wronskian_x, gb, order)
+        assert got == _wronskian_outcome(_walked_wronskian, gb, order), order
+
+
+def _swapped(gb):
+    """The ideal with Dx and the last Dy exchanged, as --main-var takes it."""
+    return groebner_basis([g.swap_roles(gb.nvars) for g in gb.gens], gb.order)
+
+
+def _pivot_flips(gb):
+    """Inversions of the pivot positions of the Krylov walk from the class of 1."""
+    act = quotient_action(gb)
+    pivots = [p for p, _, _ in _krylov_walk(act, act.unit())[1].rows]
+    return sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+
+
+def test_wronskian_matches_cofactors_on_fixtures_and_golden_ideals():
+    pool = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
+    pool += [gb for gb in golden_gbs() if gb.dimension()]
+    zero = 0
+    for gb in pool + [_swapped(gb) for gb in pool]:
+        _assert_wronskian_matches_cofactors(gb, range(1, 11))
+        zero += wronskian_x(gb, 10).is_zero()
+    assert 0 < zero < 2 * len(pool)  # ideals in normal position and not
+    # the empty family of the unit ideal has the empty determinant
+    for gb in (fixture_gb("unit"), *(gb for gb in golden_gbs() if not gb.dimension())):
+        assert wronskian_x(gb, 5) == TruncSeries.one(gb.nvars, 6)
+
+
+def test_wronskian_matches_cofactors_on_rational_ideals():
+    # conjugated and gauged ideals at nvars 1 and 2, over K with D(0) != 0
+    for name, gb in _rational_ideals().items():
+        assert not gb.over_q and _Expansion(quotient_action(gb), 1).d0, name
+        for h in (gb, _swapped(gb)):
+            _assert_wronskian_matches_cofactors(h, range(1, 9))
+
+
+def test_wronskian_matches_cofactors_on_shape_form_ideals():
+    # r = 2 to 4 under shears: pivot permutations of both signs, and factors
+    # x^k*exp in W at a repeated root
+    rng = random.Random(2707)
+    odd = 0
+    for k in range(16):
+        nvars = 1 + k % 2
+        gens, mults = shape_form_ideal(rng, nvars, [m for m in MULTIPLICITIES if len(m) <= 4 - nvars])
+        gb = shear_ideal(groebner_basis(gens, TermOrder.degrevlex(nvars)), (Fraction(k % 3 - 1),) * nvars)
+        for h in (gb, _swapped(gb)):
+            odd += _pivot_flips(h) % 2 and in_normal_position(h)
+            _assert_wronskian_matches_cofactors(h, range(1, 8 - nvars))
+    assert odd
+
+
+def test_wronskian_walks_no_member(monkeypatch):
+    # Over Q and over K with D(0) != 0 only the Krylov walk steps, r times
+    # from the class of 1, and no series product is formed; over K with
+    # D(0) = 0 the members are walked and multiplied, as before.
+    steps = _count_steps(monkeypatch)
+    products = []
+    real = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or real(f, g))
+    conj = conjugate(fixture_gb("two_points"), Fraction(2))
+    for gb, field in ((fixture_gb("two_points"), "Q"), (conj, "K")):
+        steps.update(Q=0, K=0, Z=0)
+        assert not wronskian_x(gb, 12).is_zero()
+        assert steps == {"Q": 0, "K": 0, "Z": 0, field: 2} and products == []
+    steps.update(Q=0, K=0, Z=0)
+    (dx, dy), one = sym(1)
+    gb = groebner_basis([dx * dx - OreOperator.from_coeff(1 / RatFunc.var(1, 0)) * dx, dy], TermOrder.degrevlex(1))
+    wronskian_x(gb, 2)
+    assert steps == {"Q": 0, "K": 2, "Z": 0} and len(products) == 2
+
+
+def test_wronskian_errors_are_kept():
+    # The checks run in the order of the walk and the cofactor expansion:
+    # the order, the walk's bound, the unit ideal, then order - (r - 1) >= 1;
+    # over K with D(0) = 0 the walk, with its poles, comes before the last.
+    first = (TruncationTooSmall, "series order must be at least 1")
+    (dx, dy), one = sym(1)
+    inv_x = OreOperator.from_coeff(1 / RatFunc.var(1, 0))
+    pole = groebner_basis([dx * dx - inv_x * dx, dy], TermOrder.degrevlex(1))
+    nvars, ops = parse_ideal_file("Dx - (x^2 + 2*x*y)/(x + y)^2\nDy + x^2/(x + y)^2\n")
+    no_value = groebner_basis(ops, TermOrder.degrevlex(nvars))
+    four = groebner_basis(parse_ideal_file("*".join(f"(Dx - {k})" for k in range(4)) + "\nDy - Dx^2 + 3*Dx\n")[1],
+                          TermOrder.degrevlex(1))
+    for gb in (fixture_gb("two_points"), fixture_gb("unit"), pole, no_value, four):
+        assert _wronskian_outcome(wronskian_x, gb, 0) == first
+        assert _wronskian_outcome(in_normal_position_series, gb, 0) == first
+    for order in (1, 2, 3):
+        assert _wronskian_outcome(wronskian_x, four, order) == (
+            TruncationTooSmall, "need guaranteed order above 3 to differentiate 4 members")
+    assert _wronskian_outcome(wronskian_x, fixture_gb("two_points"), 1) == (
+        TruncationTooSmall, "need guaranteed order above 1 to differentiate 2 members")
+    at_x = (NonOrdinaryOrigin, "quotient coordinate for derivative monomial (2, 0) has a pole at 0")
+    expect = [(TruncationTooSmall, "need guaranteed order above 1 to differentiate 2 members"),
+              TruncSeries(1, 1, {(0, 0): Fraction(1)}), at_x, at_x]
+    assert [_wronskian_outcome(wronskian_x, pole, order) for order in range(1, 5)] == expect
+    # exp(x^2/(x + y)) at r = 1 and r + 2
+    assert wronskian_x(no_value, 1) == TruncSeries(1, 1, {(0, 0): Fraction(1)})
+    assert _wronskian_outcome(wronskian_x, no_value, 3) == (
+        NonOrdinaryOrigin, "quotient coordinate for derivative monomial (0, 1) has a pole at 0")
+    for gb in (pole, no_value, four, fixture_gb("two_points")):
+        _assert_wronskian_matches_cofactors(gb, range(0, 5))
 
 
 def test_series_normal_position_matches_algebraic():
@@ -688,13 +813,13 @@ def test_wronskian_is_bounded(monkeypatch):
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or real(f, g))
     work = 40 * 55 * 28 * 10
     monkeypatch.setattr(series, "MAX_WRONSKIAN_WORK", work)
-    w = wronskian_x(sol.members)
+    w = _cofactor_wronskian(sol.members)
     assert len(products) == 40 and w.order == 7 and not w.is_zero()
     products.clear()
     monkeypatch.setattr(series, "MAX_WRONSKIAN_WORK", work - 1)
     with pytest.raises(ResourceLimit, match=rf"^a Wronskian of 4 series of order 10 needs {work} units of work, "
                                             rf"more than {work - 1}$"):
-        wronskian_x(sol.members)
+        _cofactor_wronskian(sol.members)
     assert products == []
 
 
