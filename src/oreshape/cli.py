@@ -12,8 +12,8 @@ Exit codes, each carried by its error class in errors as exit_code:
     2  malformed input: parse errors, arity errors, bad flags or file shape
     3  precondition failures: infinite-dimensional quotient, not in normal
        position (for normalize: no rational shear reaches it), origin not
-       ordinary, an applied operator with a coefficient that has a pole at
-       the origin, division by zero, non-cyclic class
+       ordinary (before any walk), an applied operator with a coefficient
+       that has a pole at the origin, division by zero, non-cyclic class
     4  resource limits: degree cap, truncation order too small, a printed
        number above MAX_DIGITS digits, a series walk, dependence system or
        shear grid past its bound

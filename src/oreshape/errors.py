@@ -46,7 +46,8 @@ class PoleAtOrigin(PoleAtPoint):
 
 
 class NonOrdinaryOrigin(OreShapeError):
-    """Series solving needed a quotient-action coordinate with a pole at 0."""
+    """A matrix of the quotient action has a pole at 0, so the solutions have
+    no canonical basis there; raised before any series walk."""
     exit_code = 3
 
 

@@ -12,14 +12,24 @@ for w_(m+e_t) = D*d/dt w_m - |m|*(d/dt D)*w_m + B_t*w_m, and c_m(0) =
 w_m(0)/D(0)^|m|.  Only d/dt lowers a degree, by one per step, so the terms
 of w_m of total degree top - |m| or more never reach a constant term below
 order top: a walk made for order top drops them, exactly, check-dradical's
-resumed walk included.  When D(0) = 0 an A_t entry has a pole at 0 and the
-walk stays in K: a coordinate num/den whose den has no constant term, read
-before num (the reduced x^2/(x + y)^2 also has num constant 0), means the
-origin is not ordinary, and a walk that meets none goes through.  A walk
-past MAX_SERIES_MONOMIALS monomials, check-dradical's deeper re-check
-included, is a ResourceLimit raised before its first step, and so is a
-D-radical system, or a re-check of its kernel, that would cost more than
-MAX_DEPENDENCE_WORK.
+resumed walk included.  A walk past MAX_SERIES_MONOMIALS monomials,
+check-dradical's deeper re-check included, is a ResourceLimit raised before
+its first step, and so is a D-radical system, or a re-check of its kernel,
+that would cost more than MAX_DEPENDENCE_WORK.
+
+Over K with D(0) = 0 every series command raises NonOrdinaryOrigin before
+any step, naming a derivative whose matrix has the pole.  This one test is
+exact: D(0) != 0 exactly when every entry of every A_t is a formal power
+series at 0, and when D(0) = 0 no canonical basis exists.  Write z = (x,
+y1..yn) and an entry as p/q in lowest terms: q | D, and each irreducible
+factor of D divides some q, so D(0) = 0 exactly when some q(0) = 0.  Then
+p/q is no power series: Q[z]_(z) -> Q[[z]] is faithfully flat, so q | p in
+Q[[z]] would give s*p = q*a over Q[z] with s(0) != 0, and an irreducible
+factor of q that vanishes at 0 would divide s*p but not p, hence s(0) = 0.
+A canonical basis would make every entry a power series: F(0) = I makes F
+invertible over Q[[z]], and d/dt F = A_t^T*F (below) gives A_t^T = d/dt
+F*F^-1.  So a low-order answer there would be the truncation of a basis
+that does not exist.
 
 The Wronskian in x of the solution basis comes from Liouville's formula
 (Abel-Jacobi-Liouville; Coddington and Levinson, Theory of Ordinary
@@ -38,14 +48,7 @@ tr(A_t) = N_t/T_t and det Kry = P/Q, every coefficient of g and of W comes
 from earlier ones by a recurrence, T_t*d/dt g = N_t*g and Q*W = P*g, at
 a cost linear in the monomials below the order.  Over Q, T_t = Q = 1 and
 g = exp(sum tr(A_t)*x_t).  Over K this needs T_t(0) and Q(0) nonzero,
-which holds when D(0) != 0 (the walk over Z), since both divide powers of
-D.  When D(0) = 0 an entry of A_t may have a pole that a low-order walk
-never reaches, so the Wronskian is taken as before: the members are walked
-over K, keeping NonOrdinaryOrigin, and their determinant is expanded by
-cofactors, since the ring of truncated series has zero divisors.  That
-expansion makes a number of series products that grows like r!, so one
-whose work would pass MAX_WRONSKIAN_WORK is a ResourceLimit raised before
-its first product.
+which holds since both divide powers of D and D(0) != 0.
 
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
@@ -73,14 +76,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul, sub
 
 from .arith import MultiPoly, RatFunc
 from .errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
 from .gb import GroebnerBasis
-from .ore import TruncSeries
-from .shape import _krylov_walk, _q_echelon, quotient_action
+from .ore import TruncSeries, der_name
+from .shape import _q_echelon, quotient_action
 
 DEPENDENCE_FOUND = "DependenceFound"
 NO_DEPENDENCE = "NoDependenceUpToBound"
@@ -93,13 +96,6 @@ MAX_SERIES_MONOMIALS = 100_000
 # (Python 3.11 on a shared 2-vCPU x86-64 VM), so about 8 s at most.  For
 # r = 2 at the default degree bound, --trunc 143 at nvars 1, 26 at nvars 2.
 MAX_DEPENDENCE_WORK = 4_000_000
-# Work of a Wronskian of r series of order n: P(r) = r + r*P(r - 1) series
-# products, P(1) = 0, each pairing the M(n) terms of one factor with the
-# M(n - r + 1) of the other (M(k) = comb(k + nvars, nvars + 1) monomials below
-# order k), with coefficients that grow with n: P(r)*M(n)*M(n - r + 1)*n units.
-# A unit took 4 to 29 ns (Python 3.11 on a shared 2-vCPU x86-64 VM), so about
-# 9 s at most.  At --trunc 12 and nvars 1, r = 7 is admitted and r = 8 not.
-MAX_WRONSKIAN_WORK = 300_000_000
 
 
 @dataclass(frozen=True)
@@ -150,13 +146,17 @@ class _Expansion:
         self.layer = {}
         self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
         self.form = act.r and not act.gb.over_q and act.z_form(top + 1)
-        self.d0 = self.form and dict(self.form[1]).get(0) or 0  # D(0) when the walk runs over Z
+        self.d0 = self.form and dict(self.form[1]).get(0)  # D(0) when the walk runs over Z
+        if self.form and not self.d0:
+            zero = (0,) * (act.nvars + 1)
+            t = next(t for t, At in enumerate(act.rows) for row in At for _, a in row if zero not in a.den.terms)
+            raise NonOrdinaryOrigin(f"the origin is not ordinary: the matrix of {der_name(t, act.nvars)} "
+                                    "has a pole at 0")
 
     def solution(self, order: int) -> SolutionBasis:
         act, r, nvars = self.act, self.act.r, self.act.nvars
         if r == 0:
             return SolutionBasis(nvars, 0, order, (), ())
-        zero = (0,) * (nvars + 1)
         d0 = self.d0
         for d in range(self.reached, order):
             layer = {}
@@ -173,15 +173,7 @@ class _Expansion:
                 layer[m] = cm, fact
                 div = scale * fact
                 for k, c in enumerate(cm):
-                    if type(c) is dict:
-                        c = c.get(0) and Fraction(c[0], div)
-                    elif isinstance(c, RatFunc):
-                        den0 = c.den.terms.get(zero)
-                        if den0 is None:
-                            raise NonOrdinaryOrigin(f"quotient coordinate for derivative monomial {m} has a pole at 0")
-                        c = c.num.terms.get(zero, 0) / den0 / fact
-                    else:
-                        c = c / fact
+                    c = c.get(0) and Fraction(c[0], div) if d0 else c / fact
                     if c:
                         self.coeff_dicts[k][m] = c
             self.layer = layer
@@ -195,44 +187,6 @@ def solve_series(gb: GroebnerBasis, order: int = 8) -> SolutionBasis:
     if order < 1:
         raise TruncationTooSmall("series order must be at least 1")
     return _Expansion(quotient_action(gb), order).solution(order)
-
-
-def _det(rows: list[list[TruncSeries]]) -> TruncSeries:
-    """Cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    for j, a in enumerate(rows[0]):
-        term = a * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
-        total = term if j == 0 else total - term if j % 2 else total + term
-    return total
-
-
-def _check_wronskian_order(n: int, r: int) -> None:
-    if n - (r - 1) < 1:
-        raise TruncationTooSmall(f"need guaranteed order above {r - 1} to differentiate {r} members")
-
-
-def _cofactor_wronskian(members) -> TruncSeries:
-    """Wronskian determinant in x of the given series, by cofactor expansion.
-
-    The recorded order is min(member orders) - (len(members) - 1).  Refused
-    before the first product when its work passes MAX_WRONSKIAN_WORK."""
-    members = list(members)
-    if not members:
-        raise ValueError("wronskian of an empty family")
-    n = min(f.order for f in members)
-    r = len(members)
-    _check_wronskian_order(n, r)
-    nvars = members[0].nvars
-    products = sum(factorial(r) // factorial(k) for k in range(1, r))  # P(r), see MAX_WRONSKIAN_WORK
-    work = products * comb(n + nvars, nvars + 1) * comb(n - r + 1 + nvars, nvars + 1) * n
-    if work > MAX_WRONSKIAN_WORK:
-        raise ResourceLimit(f"a Wronskian of {r} series of order {n} needs {work} units of work, "
-                            f"more than {MAX_WRONSKIAN_WORK}")
-    rows = [members]
-    for _ in range(r - 1):
-        rows.append([f.diff(0) for f in rows[-1]])
-    return _det(rows)
 
 
 def _num_den(v, zero: tuple) -> tuple[list, Fraction, list]:
@@ -256,11 +210,10 @@ def _pull(terms: list, coeffs: dict, m: tuple) -> Fraction:
 
 
 def _liouville(act, n: int) -> TruncSeries:
-    """W = series(det Kry)*g below order n, for r > 0 over Q or over K with
-    D(0) != 0 (see the module docstring)."""
+    """W = series(det Kry)*g below order n, for r > 0 (see the module docstring)."""
     r, nvars = act.r, act.nvars
     zero = (0,) * (nvars + 1)
-    lam, ech = _krylov_walk(act, act.unit())
+    lam, ech = act.krylov()
     if len(lam) < r:
         return TruncSeries(nvars, n)
     # Kry = L*R, with R the echelon rows (1 at their own pivot, 0 at the
@@ -293,18 +246,16 @@ def _liouville(act, n: int) -> TruncSeries:
 def wronskian_x(gb: GroebnerBasis, order: int = 8) -> TruncSeries:
     """Wronskian determinant in x of the canonical solution basis of
     solve_series(gb, order), guaranteed to order - (r - 1), by Liouville's
-    formula, or over K with D(0) = 0 by cofactor expansion of the walked
-    members (see the module docstring).  The unit ideal's empty family has
-    the empty determinant 1."""
+    formula (see the module docstring).  It refuses what solve_series
+    refuses.  The unit ideal's empty family has the empty determinant 1."""
     if order < 1:
         raise TruncationTooSmall("series order must be at least 1")
     act = quotient_action(gb)
-    expansion = _Expansion(act, order)
+    _Expansion(act, order)
     if act.r == 0:
         return TruncSeries.one(act.nvars, order + 1)
-    if not (gb.over_q or expansion.d0):
-        return _cofactor_wronskian(expansion.solution(order).members)
-    _check_wronskian_order(order, act.r)
+    if order - (act.r - 1) < 1:
+        raise TruncationTooSmall(f"need guaranteed order above {act.r - 1} to differentiate {act.r} members")
     return _liouville(act, order - (act.r - 1))
 
 

@@ -27,7 +27,8 @@ one vector at a time and remembers each row's combination of the family.
 _krylov_walk walks the Krylov family into it up to the first dependence.
 The k-th step reduces one new vector against k rows, so a walk to step r
 costs O(r^3) field operations instead of the O(r^4) of solving afresh at
-every step.  The Dyi images reduce against the same echelon.  Over K,
+every step.  The Dyi images reduce against the same echelon, and the walk
+of Dx from the class of 1 is taken once (QuotientAction.krylov).  Over K,
 pivots are the lowest-degree nonzero entry of the reduced vector (ties by
 position), which keeps intermediate coefficient growth down and the whole
 computation deterministic; the results do not depend on the pivots, since
@@ -85,12 +86,12 @@ class QuotientAction:
     rows[t] holds A_t as rows of its nonzero entries (j, a) over the basis's
     field, read off the normal forms of D_t*m, m standard, at construction."""
 
-    __slots__ = ("gb", "basis", "rows", "_z_form")
+    __slots__ = ("gb", "basis", "rows", "_z_form", "_krylov")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.basis = gb.quotient_basis()
-        self._z_form = None
+        self._z_form = self._krylov = None
         nvars = gb.nvars
         one = Fraction(1) if gb.over_q else RatFunc.one(nvars)
         self.rows = []
@@ -120,6 +121,12 @@ class QuotientAction:
         def z(p):
             return [(sum(map(mul, e, weights)), c.numerator * (s // c.denominator)) for e, c in p.terms.items()]
         return b, z(den), list(map(z, dD)), [[[(j, z(p)) for j, p in row] for row in Bt] for Bt in B]
+
+    def krylov(self) -> tuple:
+        """_krylov_walk of Dx from the class of 1, walked once, on first use."""
+        if self._krylov is None:
+            self._krylov = _krylov_walk(self, self.unit())
+        return self._krylov
 
     @property
     def r(self) -> int:
@@ -274,8 +281,7 @@ def eliminate_dx(gb: GroebnerBasis, method: str = "krylov") -> OreOperator:
     """
     gb.dimension()  # raises NotZeroDimensional, which elim-order alone would not
     if method == "krylov":
-        act = quotient_action(gb)
-        lam, _ = _krylov_walk(act, act.unit())
+        lam, _ = quotient_action(gb).krylov()
         return _dx_poly(gb.nvars, [-c for c in lam] + [RatFunc.one(gb.nvars)])
     if method == "elim-order":
         order = TermOrder.elim(gb.nvars)
@@ -290,7 +296,8 @@ def in_normal_position(gb: GroebnerBasis, c=()) -> bool:
     normal position: the walk of L = Dx + sum(ci*Dyi) from the class of 1
     reaches r = dim of the quotient (see the module docstring)."""
     act = quotient_action(gb)
-    return len(_krylov_walk(act, act.unit(), c)[0]) == act.r
+    lam, _ = _krylov_walk(act, act.unit(), c) if any(c) else act.krylov()
+    return len(lam) == act.r
 
 
 @dataclass(frozen=True)
@@ -323,15 +330,16 @@ def _trim(nvars: int, coeffs: list) -> tuple[RatFunc, ...]:
     return tuple(c if isinstance(c, RatFunc) else RatFunc.const(nvars, c) for c in coeffs)
 
 
-def _shape_from_krylov(act: QuotientAction, v0: list) -> ShapeBasis:
+def _shape_from_krylov(act: QuotientAction, v0: list, walk=None) -> ShapeBasis:
     """Shared core of shape_basis and gauge_transform: build P and the Qi
-    from the Krylov family of v0, requiring independence up to step r.
+    from the Krylov family of v0, requiring independence up to step r; walk
+    is that family's _krylov_walk when the caller has it already.
 
     Then the r independent vectors span the r-dimensional quotient, so each
     Dyi.v0 reduces to zero against their echelon and its combination is Qi."""
     r = act.r
     nvars = act.nvars
-    lam, ech = _krylov_walk(act, v0)
+    lam, ech = walk or _krylov_walk(act, v0)
     if len(lam) < r:
         why = f"Krylov family dependent at step {len(lam)}, quotient dimension {r}"
         raise NotCyclic(why if lam else "the vector reduces to zero in the quotient")
@@ -356,7 +364,7 @@ def shape_basis(gb: GroebnerBasis) -> ShapeBasis:
     """
     act = quotient_action(gb)
     try:
-        sb = _shape_from_krylov(act, act.unit())
+        sb = _shape_from_krylov(act, act.unit(), act.krylov())
     except NotCyclic as exc:
         raise NotNormalPosition(f"the ideal is not in normal position: {exc}") from None
     for h in sb.generators():

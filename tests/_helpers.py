@@ -661,3 +661,31 @@ def reference_solve_series(gb, order):
                 coeff_dicts[k][m] = val / fact
     members = tuple(TruncSeries(nvars, order, d) for d in coeff_dicts)
     return SolutionBasis(nvars, r, order, tuple(act.basis), members)
+
+
+def reference_wronskian(members):
+    """The Wronskian determinant in x of the given series, by cofactor
+    expansion along the first row, independent of Liouville's formula in
+    series.wronskian_x.  Its order is min(member orders) - (len(members) -
+    1); the ring of truncated series has zero divisors, so no elimination."""
+    from oreshape.errors import TruncationTooSmall
+
+    members = list(members)
+    if not members:
+        raise ValueError("wronskian of an empty family")
+    n, r = min(f.order for f in members), len(members)
+    if n - (r - 1) < 1:
+        raise TruncationTooSmall(f"need guaranteed order above {r - 1} to differentiate {r} members")
+    rows = [members]
+    for _ in range(r - 1):
+        rows.append([f.diff(0) for f in rows[-1]])
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        for j, a in enumerate(rows[0]):
+            term = a * det([row[:j] + row[j + 1:] for row in rows[1:]])
+            total = term if j == 0 else total - term if j % 2 else total + term
+        return total
+
+    return det(rows)

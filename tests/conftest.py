@@ -17,7 +17,7 @@ import pytest
 # of the shared helpers would vanish without this.
 pytest.register_assert_rewrite("_helpers")
 
-# The slowest test takes about 2.5 s.
+# The slowest test takes about 3 s.
 LIMIT = 60
 
 _STDERR = pytest.StashKey[int]()

@@ -21,11 +21,19 @@ import oreshape
 from oreshape import cli
 from oreshape.arith import MultiPoly, RatFunc, format_monomial, join_sum, power_product, var_name
 from oreshape.cli import main
-from oreshape.errors import OreShapeError
+from oreshape.errors import NonOrdinaryOrigin, OreShapeError
 from oreshape.gb import GroebnerBasis, TermOrder, groebner_basis
 from oreshape.ore import OreOperator, der_name, format_operator
 from oreshape.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_NVARS, parse_ideal_file
-from oreshape.series import MAX_DEPENDENCE_WORK, MAX_SERIES_MONOMIALS, solve_series
+from oreshape.series import (
+    MAX_DEPENDENCE_WORK,
+    MAX_SERIES_MONOMIALS,
+    d_radical_check,
+    in_normal_position_series,
+    solve_series,
+    wronskian_x,
+)
+from oreshape.shape import QuotientAction, cyclic_vector, gauge_transform
 
 from _helpers import exp_series, poly_times_exp_series, rand_operator
 
@@ -542,6 +550,46 @@ def test_rational_wronskian_at_trunc_100_answers(capsys, monkeypatch):
     assert order == 98 and len(want) == comb(99, 2)
     c = w[(0, 0)]
     assert c and w == {e: c * v for e, v in want.items()}
+
+
+def _katz_gauge_text():
+    """The gauge output of <Dx - 1, Dy^4 - 1> by its cyclic vector, one of
+    Katz's, as an ideal file."""
+    gb = groebner_basis(parse_ideal_file("Dx - 1\nDy^4 - 1\n")[1], TermOrder.degrevlex(1))
+    return "".join(f"{format_operator(g)}\n" for g in gauge_transform(gb, cyclic_vector(gb)).generators())
+
+
+def test_non_ordinary_origin_exits_3_before_any_walk(capsys, monkeypatch):
+    # Three quotients whose common denominator D vanishes at 0 (see series):
+    # a pole that the walk over K first read at order 3, exp(x^2/(x + y)),
+    # and a gauge output.  Each has no canonical solution basis at 0, so
+    # every series call refuses it at every order, before any step of the
+    # action; the walk over K answered the low orders.  The CLI exits 3 with
+    # empty stdout; check-normal takes its algebraic Krylov walk first.
+    texts = ["Dx^2 - 1/x*Dx\nDy\n", "Dx - (x^2 + 2*x*y)/(x + y)^2\nDy + x^2/(x + y)^2\n", _katz_gauge_text()]
+    calls = [solve_series, wronskian_x, in_normal_position_series, lambda gb, n: d_radical_check(gb, 0, n)]
+    steps = []
+    for name in ("apply", "apply_z"):
+        real = getattr(QuotientAction, name)
+        monkeypatch.setattr(QuotientAction, name, lambda *args, real=real: steps.append(1) or real(*args))
+    for text in texts:
+        nvars, ops = parse_ideal_file(text)
+        gb = groebner_basis(ops, TermOrder.degrevlex(nvars))
+        assert not gb.over_q and gb.dimension()
+        for order in range(1, 7):
+            for call in calls:
+                with pytest.raises(NonOrdinaryOrigin, match="^the origin is not ordinary: the matrix of D"):
+                    call(gb, order)
+                assert steps == []
+            for argv, stdin in ((("solve",), text), (("apply",), "Dx\n" + text), (("wronskian",), text),
+                                (("check-normal", "--via", "series"), text),
+                                (("check-dradical", "--degree-bound", "0"), text)):
+                code, out, err = run(capsys, argv[0], "-", *argv[1:], "--trunc", str(order), stdin=stdin,
+                                     monkeypatch=monkeypatch)
+                assert (code, out) == (3, ""), (argv, order)
+                assert err.startswith("error: the origin is not ordinary: ")
+                assert (argv[0] == "check-normal") == bool(steps)
+                steps.clear()
 
 
 @pytest.mark.parametrize("argv, out", [

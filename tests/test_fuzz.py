@@ -18,7 +18,8 @@ two points or a double point, some hidden by elementary steps with
 constant or rational coefficients; and, on the same ideals conjugated by
 x + c, the series walk over Z[x, y] with the walk over K; and on both, the
 Wronskian by Liouville's formula with the cofactor expansion of the walked
-members.
+members.  Conjugated by x instead, the origin is not ordinary, and every
+order is refused.
 """
 
 import contextlib
@@ -36,11 +37,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oreshape import gb
 from oreshape.cli import _exit_code, main
-from oreshape.errors import OreShapeError, TruncationTooSmall
+from oreshape.errors import NonOrdinaryOrigin, OreShapeError, TruncationTooSmall
 from oreshape.gb import TermOrder, _spoly, groebner_basis
 from oreshape.ore import OreOperator
 from oreshape.parsing import parse_ideal_file, parse_operator
-from oreshape.series import NO_DEPENDENCE, _cofactor_wronskian, _Expansion, d_radical_check, solve_series, wronskian_x
+from oreshape.series import NO_DEPENDENCE, _Expansion, d_radical_check, solve_series, wronskian_x
 from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action, shear_ideal
 
 from _helpers import (
@@ -52,6 +53,7 @@ from _helpers import (
     reference_groebner_basis,
     reference_left_reduce,
     reference_solve_series,
+    reference_wronskian,
     shape_form_ideal,
     two_point_ideal,
 )
@@ -194,6 +196,22 @@ def test_walk_over_z_matches_the_walk_over_k(ideal, c, order):
     assert solve_series(gb, order) == reference_solve_series(gb, order)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(constant_ideals(), st.sampled_from([0, 0, 2, -3, Fraction(3, 2), Fraction(-1, 3)]))
+def test_conjugating_by_x_makes_the_origin_non_ordinary(ideal, c):
+    # Conjugated by x every solution x*f vanishes at 0, so no canonical basis
+    # exists and the common denominator has D(0) = 0: refused at every
+    # order.  By x + c with c != 0, D is a power of x + c: never refused.
+    nvars, gens, _ = ideal
+    gb = conjugate(groebner_basis(gens, TermOrder.degrevlex(nvars)), c)
+    for order in range(1, 7):
+        if c:
+            assert solve_series(gb, order).r == gb.dimension()
+        else:
+            with pytest.raises(NonOrdinaryOrigin, match="^the origin is not ordinary: "):
+                solve_series(gb, order)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(constant_ideals(), st.sampled_from([0, 0, 2, -3, Fraction(3, 2), Fraction(-1, 3)]), st.integers(1, 8),
        st.booleans())
@@ -212,7 +230,7 @@ def test_wronskian_matches_the_cofactor_expansion(ideal, c, order, swap):
         with pytest.raises(TruncationTooSmall, match=f"^need guaranteed order above {sol.r - 1} "):
             wronskian_x(gb, order)
     else:
-        assert wronskian_x(gb, order) == _cofactor_wronskian(sol.members)
+        assert wronskian_x(gb, order) == reference_wronskian(sol.members)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -28,7 +28,6 @@ from oreshape.series import (
     DRadicalVerdict,
     SolutionBasis,
     _Expansion,
-    _cofactor_wronskian,
     _graded_monomials,
     _kernel_basis,
     d_radical_check,
@@ -40,9 +39,11 @@ from oreshape.shape import (
     QuotientAction,
     _krylov_walk,
     cyclic_vector,
+    eliminate_dx,
     gauge_transform,
     in_normal_position,
     quotient_action,
+    shape_basis,
     shear_ideal,
 )
 
@@ -55,6 +56,7 @@ from _helpers import (
     poly_times_exp_series,
     reference_kernel_basis,
     reference_solve_series,
+    reference_wronskian,
     shape_form_ideal,
     two_point_ideal,
 )
@@ -282,17 +284,22 @@ def test_rational_coefficients_at_ordinary_origin():
     assert sol.members[0] == expect
 
 
+ORIGIN = r"^the origin is not ordinary: the matrix of D[xy] has a pole at 0$"
+
+
 def test_non_ordinary_origin_is_detected(monkeypatch):
-    # A_x = 1/x: D = x has no value at 0 (see series), so the walk stays
-    # over K and refuses the origin there, with the message it always had.
+    # A_x = 1/x: D = x vanishes at 0 (see series), so the origin is refused
+    # before any step, at every order.  The reference walk over K answers at
+    # order 1, which never reads the pole: the truncation of a basis that
+    # does not exist, since every solution c*x vanishes at 0.
     (dx, dy), one = sym(1)
     x = OreOperator.from_coeff(RatFunc.var(1, 0))
     gb = groebner_basis([x * dx - one, dy], TermOrder.degrevlex(1))
     steps = _count_steps(monkeypatch)
-    with pytest.raises(NonOrdinaryOrigin, match=r"^quotient coordinate for derivative monomial \(1, 0\) has a pole at 0$"):
+    with pytest.raises(NonOrdinaryOrigin, match=r"^the origin is not ordinary: the matrix of Dx has a pole at 0$"):
         solve_series(gb, order=5)
-    assert steps["Z"] == 0 < steps["K"]
-    _assert_solve_matches_reference(gb, range(1, 6))
+    assert steps == {"Q": 0, "K": 0, "Z": 0}
+    _assert_refused(gb, range(1, 7), answered={1})
 
 
 def _solve_outcome(solve, gb, order):
@@ -306,6 +313,16 @@ def _solve_outcome(solve, gb, order):
 def _assert_solve_matches_reference(gb, orders):
     for order in orders:
         assert _solve_outcome(solve_series, gb, order) == _solve_outcome(reference_solve_series, gb, order)
+
+
+def _assert_refused(gb, orders, answered):
+    """solve_series refuses the non-ordinary origin of gb at every order:
+    at the orders `answered`, where the reference walk over K meets no pole
+    and answers, and at the others, where it meets one."""
+    for order in orders:
+        with pytest.raises(NonOrdinaryOrigin, match=ORIGIN):
+            solve_series(gb, order)
+        assert isinstance(_solve_outcome(reference_solve_series, gb, order), SolutionBasis) == (order in answered)
 
 
 def test_solve_series_matches_reference_on_fixtures_and_golden_ideals():
@@ -359,20 +376,25 @@ def test_katz_vector_gauges_where_no_swept_candidate_is_cyclic():
             g = m.apply(f)
             assert sb.P().apply(g).is_zero()
             assert OreOperator.D(1, 1).apply(g).agrees_with(sb.Q(1).apply(g))
-        _assert_solve_matches_reference(groebner_basis(sb.generators(), gb.order), range(3, 9))
+        # The gauge output's common denominator vanishes at 0: the images
+        # M(f) have no canonical basis there, though the reference walk
+        # answers below order 3.
+        _assert_refused(groebner_basis(sb.generators(), gb.order), range(1, 9), answered={1, 2})
 
 
 def test_coordinate_with_no_value_at_origin_is_a_pole():
     # The annihilator of exp(x^2/(x + y)).  NF(Dy) = -x^2/(x + y)^2 has no
     # value at 0, though its numerator has no constant term either; read
-    # numerator first, it would pass as 0 and the series as 1.
+    # numerator first, it would pass as 0 and the series as 1.  The common
+    # denominator (x + y)^2 vanishes at 0, so it is refused at every order,
+    # also at order 1, where the reference walk answers.
     text = "Dx - (x^2 + 2*x*y)/(x + y)^2\nDy + x^2/(x + y)^2\n"
     nvars, ops = parse_ideal_file(text)
     gb = groebner_basis(ops, TermOrder.degrevlex(nvars))
     assert gb.dimension() == 1
-    for solve in (solve_series, reference_solve_series):
-        with pytest.raises(NonOrdinaryOrigin, match=r"monomial \(0, 1\) has a pole"):
-            solve(gb, 3)
+    with pytest.raises(NonOrdinaryOrigin, match=r"monomial \(0, 1\) has a pole"):
+        reference_solve_series(gb, 3)
+    _assert_refused(gb, range(1, 7), answered={1})
 
 
 def test_order_must_be_positive():
@@ -394,28 +416,28 @@ def test_wronskian_of_two_point_basis_is_exp_3x():
 def test_wronskian_order_bookkeeping():
     sol = solve_series(fixture_gb("two_points"), order=6)
     assert wronskian_x(fixture_gb("two_points"), 6).order == 5
-    assert _cofactor_wronskian(sol.members).order == 5
-    assert _cofactor_wronskian(sol.members[:1]).order == 6
+    assert reference_wronskian(sol.members).order == 5
+    assert reference_wronskian(sol.members[:1]).order == 6
 
 
 def test_wronskian_vanishes_for_x_dependent_family():
     # exp(x) and y exp(x) are proportional over the y-constants
     sol = solve_series(fixture_gb("nilpotent_y"), order=8)
-    assert _cofactor_wronskian(sol.members).is_zero()
+    assert reference_wronskian(sol.members).is_zero()
     assert wronskian_x(fixture_gb("nilpotent_y"), 8) == TruncSeries(1, 7)
 
 
 def test_wronskian_single_member_is_the_member():
     sol = solve_series(fixture_gb("two_points"), order=6)
-    assert _cofactor_wronskian(sol.members[:1]) == sol.members[0]
+    assert reference_wronskian(sol.members[:1]) == sol.members[0]
 
 
 def test_wronskian_needs_enough_order():
     f = TruncSeries(1, 1, {(0, 0): Fraction(1)})
     with pytest.raises(TruncationTooSmall):
-        _cofactor_wronskian([f, f])
+        reference_wronskian([f, f])
     with pytest.raises(ValueError):
-        _cofactor_wronskian([])
+        reference_wronskian([])
 
 
 def _wronskian_outcome(wronskian, gb, order):
@@ -429,7 +451,7 @@ def _wronskian_outcome(wronskian, gb, order):
 def _walked_wronskian(gb, order):
     """The Wronskian as taken before Liouville's formula: the solution basis
     walked, then its determinant expanded by cofactors."""
-    return _cofactor_wronskian(solve_series(gb, order).members)
+    return reference_wronskian(solve_series(gb, order).members)
 
 
 def _assert_wronskian_matches_cofactors(gb, orders):
@@ -489,7 +511,7 @@ def test_wronskian_matches_cofactors_on_shape_form_ideals():
 def test_wronskian_walks_no_member(monkeypatch):
     # Over Q and over K with D(0) != 0 only the Krylov walk steps, r times
     # from the class of 1, and no series product is formed; over K with
-    # D(0) = 0 the members are walked and multiplied, as before.
+    # D(0) = 0 nothing steps and nothing is multiplied before the refusal.
     steps = _count_steps(monkeypatch)
     products = []
     real = TruncSeries.__mul__
@@ -502,14 +524,29 @@ def test_wronskian_walks_no_member(monkeypatch):
     steps.update(Q=0, K=0, Z=0)
     (dx, dy), one = sym(1)
     gb = groebner_basis([dx * dx - OreOperator.from_coeff(1 / RatFunc.var(1, 0)) * dx, dy], TermOrder.degrevlex(1))
-    wronskian_x(gb, 2)
-    assert steps == {"Q": 0, "K": 2, "Z": 0} and len(products) == 2
+    with pytest.raises(NonOrdinaryOrigin, match=ORIGIN):
+        wronskian_x(gb, 2)
+    assert steps == {"Q": 0, "K": 0, "Z": 0} and products == []
+
+
+def test_krylov_walk_of_one_is_taken_once(monkeypatch):
+    # check-normal --via series takes the algebraic test and then the
+    # Wronskian, and eliminate_dx and shape_basis read the same walk of Dx
+    # from the class of 1: r = 2 steps in all, not 2r, plus shape_basis's
+    # one step of Dy for Q.
+    steps = _count_steps(monkeypatch)
+    conj = conjugate(fixture_gb("two_points"), Fraction(2))
+    for gb, field in ((fixture_gb("two_points"), "Q"), (conj, "K")):
+        steps.update(Q=0, K=0, Z=0)
+        assert in_normal_position(gb) and in_normal_position_series(gb, 8)
+        assert steps == {"Q": 0, "K": 0, "Z": 0, field: 2}
+        assert eliminate_dx(gb).max_order() == 2 and shape_basis(gb).r == 2
+        assert steps == {"Q": 0, "K": 0, "Z": 0, field: 3}
 
 
 def test_wronskian_errors_are_kept():
-    # The checks run in the order of the walk and the cofactor expansion:
-    # the order, the walk's bound, the unit ideal, then order - (r - 1) >= 1;
-    # over K with D(0) = 0 the walk, with its poles, comes before the last.
+    # The checks run in the order of the walk: the order, the walk's bound,
+    # a non-ordinary origin, the unit ideal, then order - (r - 1) >= 1.
     first = (TruncationTooSmall, "series order must be at least 1")
     (dx, dy), one = sym(1)
     inv_x = OreOperator.from_coeff(1 / RatFunc.var(1, 0))
@@ -526,14 +563,13 @@ def test_wronskian_errors_are_kept():
             TruncationTooSmall, "need guaranteed order above 3 to differentiate 4 members")
     assert _wronskian_outcome(wronskian_x, fixture_gb("two_points"), 1) == (
         TruncationTooSmall, "need guaranteed order above 1 to differentiate 2 members")
-    at_x = (NonOrdinaryOrigin, "quotient coordinate for derivative monomial (2, 0) has a pole at 0")
-    expect = [(TruncationTooSmall, "need guaranteed order above 1 to differentiate 2 members"),
-              TruncSeries(1, 1, {(0, 0): Fraction(1)}), at_x, at_x]
-    assert [_wronskian_outcome(wronskian_x, pole, order) for order in range(1, 5)] == expect
-    # exp(x^2/(x + y)) at r = 1 and r + 2
-    assert wronskian_x(no_value, 1) == TruncSeries(1, 1, {(0, 0): Fraction(1)})
-    assert _wronskian_outcome(wronskian_x, no_value, 3) == (
-        NonOrdinaryOrigin, "quotient coordinate for derivative monomial (0, 1) has a pole at 0")
+    # a pole, also at order 1, where order - (r - 1) < 1 came first before,
+    # and at order 2, where the walk over K never read it
+    at_x = (NonOrdinaryOrigin, "the origin is not ordinary: the matrix of Dx has a pole at 0")
+    for gb in (pole, no_value):
+        assert [_wronskian_outcome(wronskian_x, gb, order) for order in range(1, 5)] == [at_x] * 4
+    # the walk's bound before the origin
+    assert _wronskian_outcome(wronskian_x, pole, 10**6)[0] is ResourceLimit
     for gb in (pole, no_value, four, fixture_gb("two_points")):
         _assert_wronskian_matches_cofactors(gb, range(0, 5))
 
@@ -767,21 +803,20 @@ def test_walk_over_z_computes_no_gcd(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_pole_the_walk_never_reaches_is_not_refused():
+def test_pole_the_walk_never_reaches_is_refused():
     # Dx^2 - Dx/x has its pole only in the column of the standard monomial
-    # Dx, which the walk first multiplies at degree |Dx| + 1 = 2: orders 1
-    # and 2 never read that coordinate and have a solution basis, order 3
-    # is refused, as by the walk over K before.
+    # Dx, which the walk first multiplies at degree |Dx| + 1 = 2: the walk
+    # over K reads no pole below order 3 and answers 1 and x at order 2.
+    # But every solution is a + b*x^2, so no solution is x + O(2): the
+    # origin is refused at every order, before any step.
     (dx, dy), one = sym(1)
     inv_x = OreOperator.from_coeff(1 / RatFunc.var(1, 0))
     gb = groebner_basis([dx * dx - inv_x * dx, dy], TermOrder.degrevlex(1))
     assert quotient_action(gb).rows[0] == [[], [(0, RatFunc.one(1)), (1, 1 / RatFunc.var(1, 0))]]
-    for order in (1, 2):
-        assert solve_series(gb, order) == reference_solve_series(gb, order)
-    for order in (3, 4):
-        with pytest.raises(NonOrdinaryOrigin, match=r"monomial \(2, 0\) has a pole"):
-            solve_series(gb, order)
-    _assert_solve_matches_reference(gb, range(1, 5))
+    assert [str(f) for f in reference_solve_series(gb, 2).members] == ["1", "x"]
+    with pytest.raises(NonOrdinaryOrigin, match=r"monomial \(2, 0\) has a pole"):
+        reference_solve_series(gb, 3)
+    _assert_refused(gb, range(1, 7), answered={1, 2})
 
 
 def test_deeper_recheck_is_bounded(monkeypatch):
@@ -799,28 +834,6 @@ def test_deeper_recheck_is_bounded(monkeypatch):
     with pytest.raises(ResourceLimit, match=rf"^deeper re-check of 22 x 210 needs {work} units of work, more than {work - 1}$"):
         d_radical_check(gb)
     assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0, "Z": 0}
-
-
-def test_wronskian_is_bounded(monkeypatch):
-    # Four exponentials at order 10: the cofactor expansion makes P(4) = 40
-    # series products, each pairing at most M(10) = 55 terms with M(7) = 28.
-    # The bound admits 40 x 55 x 28 x 10 units of work and refuses one unit
-    # more, before the first product.
-    nvars, ops = parse_ideal_file("*".join(f"(Dx - {k})" for k in range(4)) + "\nDy - Dx^2 + 3*Dx\n")
-    sol = solve_series(groebner_basis(ops, TermOrder.degrevlex(nvars)), 10)
-    products = []
-    real = TruncSeries.__mul__
-    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or real(f, g))
-    work = 40 * 55 * 28 * 10
-    monkeypatch.setattr(series, "MAX_WRONSKIAN_WORK", work)
-    w = _cofactor_wronskian(sol.members)
-    assert len(products) == 40 and w.order == 7 and not w.is_zero()
-    products.clear()
-    monkeypatch.setattr(series, "MAX_WRONSKIAN_WORK", work - 1)
-    with pytest.raises(ResourceLimit, match=rf"^a Wronskian of 4 series of order 10 needs {work} units of work, "
-                                            rf"more than {work - 1}$"):
-        _cofactor_wronskian(sol.members)
-    assert products == []
 
 
 def _count_steps(monkeypatch):
