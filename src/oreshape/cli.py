@@ -411,7 +411,7 @@ def main(argv=None) -> int:
                 "result": result,
                 "timings_ms": {"total": round((time.perf_counter() - started) * 1000.0, 3)},
             }
-            lines = [json.dumps(payload, default=_series_json)]
+            lines = [json.dumps(payload, default=_series_json, separators=(",", ":"))]
         else:
             lines = list(lines)
     except (OreShapeError, ValueError, OSError) as exc:
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
-            print(json.dumps(payload))
+            print(json.dumps(payload, separators=(",", ":")))
         return code
     for line in lines:
         print(line)

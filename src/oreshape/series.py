@@ -14,8 +14,8 @@ of w_m of total degree top - |m| or more never reach a constant term below
 order top: a walk made for order top drops them, exactly, check-dradical's
 resumed walk included.  A walk past MAX_SERIES_MONOMIALS monomials,
 check-dradical's deeper re-check included, is a ResourceLimit raised before
-its first step, and so is a D-radical system, or a re-check of its kernel,
-that would cost more than MAX_DEPENDENCE_WORK.
+its first step, and so is a D-radical system, a re-check of its kernel or
+a trace form (below) that would cost more than MAX_DEPENDENCE_WORK.
 
 Over K with D(0) = 0 every series command raises NonOrdinaryOrigin before
 any step, naming a derivative whose matrix has the pole.  This one test is
@@ -52,23 +52,33 @@ which holds since both divide powers of D and D(0) != 0.
 
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
-finite exact Q-linear system in the p-coefficients.  Its kernel is read off
-the column dependences: the columns are walked into shape's _Echelon over
-Q, and a column j that depends on the independent columns k_0 < k_1 < ...
-before it, as sum c_i times column k_i, gives the kernel vector
-e_j - sum c_i e_(k_i).  These are the vectors of the free columns of the
-reduced echelon form, one per dependent column.  A nontrivial kernel
-vector is re-verified against a deeper expansion, to deep = order + 4, over
-Q to deep = max(order + 4, r*(degree_bound + 1)), continuing the walk of
-the first expansion, before being reported: first each kernel basis
-vector, then, if none survives, the first dependence among their deeper
-images, which names a combination whose image vanishes.  Over Q the
-verdict is exact for the degree bound: a false witness on a generic line
-through 0 is a nonzero exponential polynomial with at most
-r*(degree_bound + 1) coefficients, which by Polya's bound cannot vanish
-through order deep - 1.  Over K no such bound holds, so no verified vector
-means no dependence up to the stated bounds, a semi-decision, not a proof
-of D-radicality.
+finite exact Q-linear system in the p-coefficients.  Its kernel basis has
+one vector e_j - sum R[i][j]*e_(k_i) per free column j of the reduced
+echelon form R, with pivot columns k_i.  R is found fraction-free: each row
+is scaled to integers, cleared at the pivots by integer combinations and
+divided by the gcd of its entries, as are the rows a new pivot clears.  A
+nontrivial kernel vector is re-verified against a deeper expansion, to
+deep = order + 4, over Q to deep = max(order + 4, r*(degree_bound + 1)),
+continuing the walk of the first expansion, before being reported: first
+each kernel basis vector, then, if none survives, the first dependence
+among their deeper images, which names a combination whose image
+vanishes.  Over Q the verdict is exact for the degree bound: a false
+witness on a generic line through 0 is a nonzero exponential polynomial
+with at most r*(degree_bound + 1) coefficients, which by Polya's bound
+cannot vanish through order deep - 1.  Over K no such bound holds, so no
+verified vector means no dependence up to the stated bounds, a
+semi-decision, not a proof of D-radicality.
+
+Over Q a radical quotient is decided first, with no walk and no kernel, by
+its trace form T_ij = tr(M_(b_i)*M_(b_j)), M_b = prod A_t^(b_t) being the
+product by D^b on A = Q[D]/J (Cox, Little and O'Shea, Using Algebraic
+Geometry, ch. 4 sec. 2).  A nilpotent a in A makes each a*b nilpotent, of
+trace 0: a is in the kernel of T.  So a nondegenerate T makes J radical,
+vanishing on r distinct points l_s, and the solutions are spanned by the
+exp(l_s.z), which have no K-dependence of any degree: on a generic line
+through 0 their exponents differ.  In characteristic 0 the converse holds
+(over C a reduced A is C^r, its idempotents orthonormal for T), so every
+radical quotient takes this route; a degenerate T means a dependence exists.
 """
 
 from __future__ import annotations
@@ -83,7 +93,7 @@ from .arith import MultiPoly, RatFunc
 from .errors import NonOrdinaryOrigin, ResourceLimit, TruncationTooSmall
 from .gb import GroebnerBasis
 from .ore import TruncSeries, der_name
-from .shape import _q_echelon, quotient_action
+from .shape import quotient_action
 
 DEPENDENCE_FOUND = "DependenceFound"
 NO_DEPENDENCE = "NoDependenceUpToBound"
@@ -128,6 +138,19 @@ def _graded_monomials(nsyms: int, bound: int, start: int = 0):
         yield from exact((), d, nsyms)
 
 
+def _refuse(act, top: int) -> None:
+    """Refuse, before any step, a walk to order top past MAX_SERIES_MONOMIALS,
+    then over K an A_t denominator that vanishes at 0, as D(0) = 0 does."""
+    if act.r and comb(top + act.nvars, act.nvars + 1) > MAX_SERIES_MONOMIALS:
+        raise ResourceLimit(f"series order {top} needs more than {MAX_SERIES_MONOMIALS} "
+                            f"monomials in {act.nvars + 1} variables")
+    zero = (0,) * (act.nvars + 1)
+    for t, At in enumerate([] if act.gb.over_q else act.rows):
+        if any(zero not in a.den.terms for row in At for _, a in row):
+            raise NonOrdinaryOrigin(f"the origin is not ordinary: the matrix of {der_name(t, act.nvars)} "
+                                    "has a pole at 0")
+
+
 class _Expansion:
     """The coefficient walk behind solve_series, resumable up to order `top`.
 
@@ -137,9 +160,7 @@ class _Expansion:
     walks only the layers below `order` not yet reached."""
 
     def __init__(self, act, top: int):
-        if act.r and comb(top + act.nvars, act.nvars + 1) > MAX_SERIES_MONOMIALS:
-            raise ResourceLimit(f"series order {top} needs more than {MAX_SERIES_MONOMIALS} "
-                                f"monomials in {act.nvars + 1} variables")
+        _refuse(act, top)
         self.act = act
         self.top = top
         self.reached = 0
@@ -147,11 +168,6 @@ class _Expansion:
         self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
         self.form = act.r and not act.gb.over_q and act.z_form(top + 1)
         self.d0 = self.form and dict(self.form[1]).get(0)  # D(0) when the walk runs over Z
-        if self.form and not self.d0:
-            zero = (0,) * (act.nvars + 1)
-            t = next(t for t, At in enumerate(act.rows) for row in At for _, a in row if zero not in a.den.terms)
-            raise NonOrdinaryOrigin(f"the origin is not ordinary: the matrix of {der_name(t, act.nvars)} "
-                                    "has a pole at 0")
 
     def solution(self, order: int) -> SolutionBasis:
         act, r, nvars = self.act, self.act.r, self.act.nvars
@@ -251,7 +267,7 @@ def wronskian_x(gb: GroebnerBasis, order: int = 8) -> TruncSeries:
     if order < 1:
         raise TruncationTooSmall("series order must be at least 1")
     act = quotient_action(gb)
-    _Expansion(act, order)
+    _refuse(act, order)
     if act.r == 0:
         return TruncSeries.one(act.nvars, order + 1)
     if order - (act.r - 1) < 1:
@@ -282,21 +298,48 @@ class DRadicalVerdict:
 
 
 def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q, one vector per dependent column."""
-    ech = _q_echelon()
-    independent = []
-    basis = []
-    for j in range(ncols):
-        c = ech.add([row[j] for row in rows])
-        if c is None:
-            independent.append(j)
+    """Basis of the right kernel over Q, one vector per free column (see the module docstring)."""
+    ech = []  # (pivot column, primitive integer row, zero at every other pivot)
+    for row in rows:
+        s = lcm(*(c.denominator for c in row))
+        v = [c.numerator * (s // c.denominator) for c in row]
+        for p, e in ech:
+            if f := v[p]:
+                v = [e[p] * a - f * b for a, b in zip(v, e)]
+        p = next((j for j, a in enumerate(v) if a), None)
+        if p is None:
             continue
+        c = gcd(*v)
+        v = [a // c for a in v]
+        for i, (q, e) in enumerate(ech):
+            if f := e[p]:
+                e = [v[p] * a - f * b for a, b in zip(e, v)]
+                c = gcd(*e)
+                ech[i] = q, [a // c for a in e]
+        ech.append((p, v))
+    basis = []
+    for j in sorted(set(range(ncols)).difference(p for p, _ in ech)):
         v = [Fraction(0)] * ncols
         v[j] = Fraction(1)
-        for k, ck in zip(independent, c):
-            v[k] = -ck
+        for p, e in ech:
+            if e[j]:
+                v[p] = Fraction(-e[j], e[p])
         basis.append(v)
     return basis
+
+
+def _radical(act) -> bool:
+    """Whether the trace form over Q is nondegenerate (see the module docstring): column
+    j of M_(b_i) is the class of D^(b_i + b_j), so T_ij = sum_k M_(b_i)[k][j]*tr(M_(b_k))."""
+    r = act.r
+    _check_work("trace form", r, r)
+    index = {b: i for i, b in enumerate(act.basis)}
+    cols = [[[Fraction(k == l) for l in range(r)] for k in range(r)]]  # M_1 by columns
+    for b in act.basis[1:]:
+        t = next(t for t, e in enumerate(b) if e)
+        cols.append([act.apply(t, c) for c in cols[index[b[:t] + (b[t] - 1,) + b[t + 1:]]]])
+    traces = [sum(m[k][k] for k in range(r)) for m in cols]
+    return not _kernel_basis([[sum(map(mul, traces, m[j])) for j in range(r)] for m in cols], r)
 
 
 def _check_work(what: str, nrows: int, ncols: int) -> None:
@@ -321,10 +364,10 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     expansion = _Expansion(act, deep)
     _check_work("dependence system", comb(order - degree_bound + gb.nvars, gb.nvars + 1),
                 act.r * comb(degree_bound + gb.nvars + 1, gb.nvars + 1))
+    if act.r == 0 or gb.over_q and _radical(act):
+        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
     sol = expansion.solution(order)
     r, nvars = sol.r, gb.nvars
-    if r == 0:
-        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
     cols = [(i, a) for i in range(r) for a in _graded_monomials(nvars + 1, degree_bound + 1)]
     # a rest with a negative exponent is no key of a member: coefficient 0
     rows = [[sol.members[i].coefficient(tuple(map(sub, beta, alpha))) for i, alpha in cols]
@@ -351,16 +394,12 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
         if image.is_zero():
             return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys), degree_bound, order)
         images.append(image)
-    # No basis vector survives the deeper expansion, but a combination of
-    # them may: the first image that depends on the ones before it names one.
+    # No basis vector survives the deeper expansion, but a combination may:
+    # the kernel vector of the first image that depends on those before it.
     monos = sorted({m for image in images for m in image.coeffs})
-    ech = _q_echelon()
-    for image in images:
-        c = ech.add([image.coefficient(m) for m in monos])
-        if c is not None:
-            t = [-a for a in c] + [Fraction(1)]
-            vec = [sum((tk * v[j] for tk, v in zip(t, kernel)), Fraction(0)) for j in range(len(cols))]
-            return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
+    for t in _kernel_basis([[image.coefficient(m) for image in images] for m in monos], len(images))[:1]:
+        vec = [sum((tk * v[j] for tk, v in zip(t, kernel)), Fraction(0)) for j in range(len(cols))]
+        return DRadicalVerdict(DEPENDENCE_FOUND, _normalize_witness(polys_of(vec)), degree_bound, order)
     return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
 
 

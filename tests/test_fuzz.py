@@ -19,7 +19,9 @@ constant or rational coefficients; and, on the same ideals conjugated by
 x + c, the series walk over Z[x, y] with the walk over K; and on both, the
 Wronskian by Liouville's formula with the cofactor expansion of the walked
 members.  Conjugated by x instead, the origin is not ordinary, and every
-order is refused.
+order is refused.  The fraction-free kernel of the D-radical search is
+compared with the former kernel over Q on drawn rational matrices of low
+rank.
 """
 
 import contextlib
@@ -41,7 +43,7 @@ from oreshape.errors import NonOrdinaryOrigin, OreShapeError, TruncationTooSmall
 from oreshape.gb import TermOrder, _spoly, groebner_basis
 from oreshape.ore import OreOperator
 from oreshape.parsing import parse_ideal_file, parse_operator
-from oreshape.series import NO_DEPENDENCE, _Expansion, d_radical_check, solve_series, wronskian_x
+from oreshape.series import NO_DEPENDENCE, _Expansion, _kernel_basis, d_radical_check, solve_series, wronskian_x
 from oreshape.shape import _krylov_walk, _shape_from_krylov, quotient_action, shear_ideal
 
 from _helpers import (
@@ -51,6 +53,7 @@ from _helpers import (
     double_point_ideal,
     rand_operator,
     reference_groebner_basis,
+    reference_kernel_basis,
     reference_left_reduce,
     reference_solve_series,
     reference_wronskian,
@@ -265,10 +268,27 @@ RADICAL = [m for m in MULTIPLICITIES if max(m) == 1]
 @given(st.integers(1, 2), st.integers(0, 2**32), st.sampled_from([0, 1, -2]))
 def test_radical_shape_form_ideals_have_no_dependence(nvars, seed, c):
     # A radical shape-form J (every mu_k = 1) has r exponential solutions
-    # with distinct exponents, K-independent, also under a shear; over Q the
-    # re-check is exact for the degree bound, so no witness may survive it.
-    # r = 4 only at nvars 1, where its system is 35 x 16, not 84 x 80.
-    gens, _ = shape_form_ideal(random.Random(seed), nvars, RADICAL[: 4 - nvars])
+    # with distinct exponents, K-independent, also under a shear; its trace
+    # form is nondegenerate, so check-dradical answers with no search.
+    gens, _ = shape_form_ideal(random.Random(seed), nvars, RADICAL)
     basis = shear_ideal(groebner_basis(gens, TermOrder.degrevlex(nvars)), (Fraction(c),) * nvars)
     assert basis.over_q
     assert d_radical_check(basis).tag == NO_DEPENDENCE, ([str(g) for g in gens], c)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(rows, ncols): every row an integer combination of at most four drawn
+    rational rows, so zero rows, zero entries and dependent columns are common."""
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=4))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)), max_size=8))
+    return [[sum((c * b[j] for c, b in zip(cs, base)), Fraction(0)) for j in range(ncols)] for cs in mix], ncols
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(low_rank_matrices())
+def test_kernel_basis_matches_the_reference(matrix):
+    rows, ncols = matrix
+    assert _kernel_basis(rows, ncols) == reference_kernel_basis(rows, ncols)

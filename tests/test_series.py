@@ -10,6 +10,7 @@ dictionaries.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -50,6 +51,7 @@ from oreshape.shape import (
 from _helpers import (
     conjugate,
     disguise,
+    double_point_ideal,
     exp_series,
     MULTIPLICITIES,
     monomials_below,
@@ -183,6 +185,9 @@ def test_kernel_basis_matches_reference_on_random_matrices():
 
 
 def test_kernel_basis_matches_reference_on_dradical_systems(monkeypatch):
+    # Every system that check-dradical solves on the fixtures and the golden
+    # ideals: trace forms, and, with the trace form made to fail so that
+    # radical quotients run the search too, every dependence system.
     systems = []
     kernel_basis = series._kernel_basis
 
@@ -193,11 +198,14 @@ def test_kernel_basis_matches_reference_on_dradical_systems(monkeypatch):
     monkeypatch.setattr(series, "_kernel_basis", recording)
     ideals = [fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")]
     ideals += golden_gbs()
-    for gb in ideals:
-        for degree_bound, order in ((1, 5), (2, 6)):
-            d_radical_check(gb, degree_bound=degree_bound, order=order)
-    # the trivial quotient of the unit ideal builds no system
-    assert len(systems) == 2 * sum(gb.dimension() > 0 for gb in ideals)
+    for radical in (series._radical, lambda act: False):
+        monkeypatch.setattr(series, "_radical", radical)
+        for gb in ideals:
+            for degree_bound, order in ((1, 5), (2, 6)):
+                built = len(systems)
+                d_radical_check(gb, degree_bound=degree_bound, order=order)
+                # the trivial quotient of the unit ideal builds no system
+                assert (len(systems) > built) == (gb.dimension() > 0)
     for rows, ncols in systems:
         assert kernel_basis(rows, ncols) == reference_kernel_basis(rows, ncols)
 
@@ -512,10 +520,12 @@ def test_wronskian_walks_no_member(monkeypatch):
     # Over Q and over K with D(0) != 0 only the Krylov walk steps, r times
     # from the class of 1, and no series product is formed; over K with
     # D(0) = 0 nothing steps and nothing is multiplied before the refusal.
+    # Over K the walk's integer form (z_form) is never built.
     steps = _count_steps(monkeypatch)
-    products = []
-    real = TruncSeries.__mul__
+    products, packed = [], []
+    real, z_form = TruncSeries.__mul__, QuotientAction.z_form
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or real(f, g))
+    monkeypatch.setattr(QuotientAction, "z_form", lambda act, b: packed.append(b) or z_form(act, b))
     conj = conjugate(fixture_gb("two_points"), Fraction(2))
     for gb, field in ((fixture_gb("two_points"), "Q"), (conj, "K")):
         steps.update(Q=0, K=0, Z=0)
@@ -526,7 +536,7 @@ def test_wronskian_walks_no_member(monkeypatch):
     gb = groebner_basis([dx * dx - OreOperator.from_coeff(1 / RatFunc.var(1, 0)) * dx, dy], TermOrder.degrevlex(1))
     with pytest.raises(NonOrdinaryOrigin, match=ORIGIN):
         wronskian_x(gb, 2)
-    assert steps == {"Q": 0, "K": 0, "Z": 0} and products == []
+    assert steps == {"Q": 0, "K": 0, "Z": 0} and products == [] and packed == []
 
 
 def test_krylov_walk_of_one_is_taken_once(monkeypatch):
@@ -707,14 +717,68 @@ def test_dependence_verdict_matches_the_multiplicities():
                 assert combo_coefficient(v.witness, sol.members, expo) == 0
 
 
-def test_no_dependence_among_four_exponentials():
+def test_no_dependence_among_four_exponentials(monkeypatch):
     # The solutions 1, e^x, e^(2x), e^(3x) are K-independent, but at the
     # default bounds 16 polynomial coefficients of degree <= 3 in x leave a
     # sum that vanishes through total degree 13 (Hermite-Pade), so a
-    # re-check at order 14 would pass it.  The re-check at 4*r = 16 does not.
+    # re-check at order 14 would pass it.  The trace form decides the ideal
+    # before any walk; made to fail, it leaves the search, whose re-check at
+    # 4*r = 16 rejects that sum.
     (dx, dy), one = sym(1)
     gb = groebner_basis([dx * (dx - one) * (dx - 2 * one) * (dx - 3 * one), dy], TermOrder.degrevlex(1))
     assert d_radical_check(gb).tag == NO_DEPENDENCE
+    monkeypatch.setattr(series, "_radical", lambda act: False)
+    assert d_radical_check(gb).tag == NO_DEPENDENCE
+
+
+def test_witness_at_a_double_root_among_six():
+    # Roots 0, 1, 2, 3 and a double 5: the one true dependence pairs
+    # x*e^(5x) with e^(5x).  The re-check at 6*(3 + 1) = 24 keeps exactly
+    # this witness; at order + 4 = 14 a false one of degree 3 would pass.
+    nvars, ops = parse_ideal_file("Dx*(Dx - 1)*(Dx - 2)*(Dx - 3)*(Dx - 5)^2\nDy\n")
+    v = d_radical_check(groebner_basis(ops, TermOrder.degrevlex(nvars)))
+    assert v.tag == DEPENDENCE_FOUND
+    assert [str(p) for p in v.witness] == ["x", "5*x - 1", "25*x - 10", "125*x - 75", "625*x - 500", "3125*x - 3125"]
+
+
+def test_trace_form_matches_the_multiplicities():
+    # Ground truth by construction (_helpers.shape_form_ideal): J is radical
+    # exactly when every root of P is simple, and a shear keeps that.  The
+    # trace form is nondegenerate exactly then, at nvars 1 and 2, under the
+    # shears by 0, 1 and -2.
+    rng = random.Random(3013)
+    seen = set()
+    for i in range(48):
+        nvars, c = 1 + i % 2, (0, 1, -2)[i // 2 % 3]
+        gens, mults = shape_form_ideal(rng, nvars)
+        gb = shear_ideal(groebner_basis(gens, TermOrder.degrevlex(nvars)), (Fraction(c),) * nvars)
+        assert gb.over_q
+        radical = max(mults) == 1
+        assert series._radical(quotient_action(gb)) == radical, (mults, c, [str(g) for g in gens])
+        seen.add((nvars, c, radical))
+    assert len(seen) == 12
+
+
+def test_radical_quotient_walks_no_series(monkeypatch):
+    # A radical quotient over Q answers from its trace form: the only steps
+    # are the trace form's r*(r - 1) products, one kernel is solved, the r x r
+    # form, and no series monomial is walked.  Sixteen exponentials, whose
+    # deeper re-check would pass the work bound, answer within a second.
+    steps = _count_steps(monkeypatch)
+    walks, kernels = [], []
+    solution, kernel_basis = _Expansion.solution, series._kernel_basis
+    monkeypatch.setattr(_Expansion, "solution", lambda self, order: walks.append(order) or solution(self, order))
+    monkeypatch.setattr(series, "_kernel_basis", lambda rows, ncols: kernels.append(ncols) or kernel_basis(rows, ncols))
+    sixteen = parse_ideal_file("*".join(f"(Dx - {k})" for k in range(16)) + "\nDy - Dx^2 + 3*Dx\n")[1]
+    n2 = groebner_basis(two_point_ideal(random.Random(5), 2), TermOrder.degrevlex(2))
+    for gb in (fixture_gb("two_points"), fixture_gb("exp_pair"), n2, groebner_basis(sixteen, TermOrder.degrevlex(1))):
+        r = gb.dimension()
+        steps.update(Q=0, K=0, Z=0)
+        kernels.clear()
+        start = time.perf_counter()
+        assert d_radical_check(gb).tag == NO_DEPENDENCE
+        assert time.perf_counter() - start < 1
+        assert steps == {"Q": r * (r - 1), "K": 0, "Z": 0} and kernels == [r] and walks == []
 
 
 def test_resumed_expansion_matches_fresh_one():
@@ -820,20 +884,22 @@ def test_pole_the_walk_never_reaches_is_refused():
 
 
 def test_deeper_recheck_is_bounded(monkeypatch):
-    # Five exponentials: at the default bounds the 28 x 50 system has rank
-    # 28, so 22 kernel vectors, each re-checked on the 210 monomials below
+    # Five solutions, the root 3 doubled, so the trace form is degenerate and
+    # the search runs: at the default bounds the 28 x 50 system has rank 28,
+    # so 22 kernel vectors, each re-checked on the 210 monomials below
     # deep = 5*(3 + 1) = 20.  The bound admits 22 x 210 x 22 units of work
     # and refuses one unit more, before the deeper walk.
-    nvars, ops = parse_ideal_file("*".join(f"(Dx - {k})" for k in range(5)) + "\nDy - Dx^2 + 3*Dx\n")
+    nvars, ops = parse_ideal_file("Dx*(Dx - 1)*(Dx - 2)*(Dx - 3)^2\nDy - Dx^2 + 3*Dx\n")
     gb = groebner_basis(ops, TermOrder.degrevlex(nvars))
     work = 22 * 210 * 22
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", work)
-    assert d_radical_check(gb).tag == NO_DEPENDENCE
+    assert d_radical_check(gb).tag == DEPENDENCE_FOUND
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", work - 1)
     steps = _count_steps(monkeypatch)
     with pytest.raises(ResourceLimit, match=rf"^deeper re-check of 22 x 210 needs {work} units of work, more than {work - 1}$"):
         d_radical_check(gb)
-    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0, "Z": 0}
+    # the walk to order 10, after the trace form's r*(r - 1) = 20 steps
+    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1 + 20, "K": 0, "Z": 0}
 
 
 def _count_steps(monkeypatch):
@@ -857,18 +923,20 @@ def _count_steps(monkeypatch):
 
 def test_dependence_check_expands_each_monomial_once(monkeypatch):
     steps = _count_steps(monkeypatch)
-    # one derivative step per monomial of total degree 1..order + 3
+    # one derivative step per monomial of total degree 1..order + 3, over Q
+    # after the r*(r - 1) = 2 steps of the trace form
     deep = len(list(_graded_monomials(2, 14))) - 1
     assert d_radical_check(fixture_gb("double_point"), order=10).tag == DEPENDENCE_FOUND
-    assert steps == {"Q": deep, "K": 0, "Z": 0}
+    assert steps == {"Q": deep + 2, "K": 0, "Z": 0}
     # over K, walked over Z: the conjugated double point keeps its dependence
     steps.update(Q=0, K=0, Z=0)
     assert d_radical_check(conjugate(fixture_gb("double_point"), Fraction(2)), order=10).tag == DEPENDENCE_FOUND
     assert steps == {"Q": 0, "K": 0, "Z": deep}
-    # no kernel: the deeper expansion never runs
+    # no kernel, as the members are independent over Q: the deeper
+    # expansion never runs
     steps.update(Q=0, K=0, Z=0)
-    assert d_radical_check(fixture_gb("two_points"), degree_bound=1, order=10).tag == NO_DEPENDENCE
-    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1, "K": 0, "Z": 0}
+    assert d_radical_check(fixture_gb("double_point"), degree_bound=0, order=10).tag == NO_DEPENDENCE
+    assert steps == {"Q": len(list(_graded_monomials(2, 10))) - 1 + 2, "K": 0, "Z": 0}
 
 
 def test_dependence_system_is_bounded(monkeypatch):
@@ -877,15 +945,20 @@ def test_dependence_system_is_bounded(monkeypatch):
     # <= degree_bound, in nvars + 1 variables.  Its work is rows x columns x
     # min(rows, columns).  The bound admits a system of exactly
     # MAX_DEPENDENCE_WORK and refuses one unit more, before any step of the
-    # walk, over Q and over K; the unit ideal has no system.  The largest
-    # systems of the golden corpus and the benchmark are 84 x 40.
+    # walk, over Q and over K; the unit ideal has no system.  The quotients
+    # over Q are not radical, so the search runs past the trace form.  The
+    # largest systems of the golden corpus and the benchmark are 84 x 40.
     assert 84 * 40 * 40 <= series.MAX_DEPENDENCE_WORK
+    # The stub solves the square trace forms and gives the dependence
+    # systems, none of them square here, an empty kernel: no re-check runs.
     systems = []
-    monkeypatch.setattr(series, "_kernel_basis", lambda rows, ncols: systems.append((len(rows), ncols)) or [])
+    kernel_basis = series._kernel_basis
+    monkeypatch.setattr(series, "_kernel_basis", lambda rows, ncols: systems.append((len(rows), ncols))
+                        or (kernel_basis(rows, ncols) if len(rows) == ncols else []))
     steps = _count_steps(monkeypatch)
-    n2 = groebner_basis(two_point_ideal(random.Random(5), 2), TermOrder.degrevlex(2))
-    cases = [(fixture_gb("two_points"), 3, 10), (conjugate(fixture_gb("two_points"), Fraction(2)), 2, 9), (n2, 2, 7),
-             (fixture_gb("two_points"), 3, 6)]
+    n2 = groebner_basis(double_point_ideal(random.Random(5), 2), TermOrder.degrevlex(2))
+    cases = [(fixture_gb("double_point"), 3, 10), (conjugate(fixture_gb("two_points"), Fraction(2)), 2, 9),
+             (n2, 2, 7), (fixture_gb("double_point"), 3, 6)]
     for gb, degree_bound, order in cases:
         nvars, r = gb.nvars, gb.dimension()
         size = (comb(order - degree_bound + nvars, nvars + 1), r * comb(degree_bound + nvars + 1, nvars + 1))
@@ -900,6 +973,15 @@ def test_dependence_system_is_bounded(monkeypatch):
         assert steps == {"Q": 0, "K": 0, "Z": 0}
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 0)
     assert d_radical_check(fixture_gb("unit")).tag == NO_DEPENDENCE
+    # The trace form of r = 2 costs r^3 = 8 units, past a system of 1 x 2 at
+    # degree_bound 0 and order 1; one unit less refuses it before any step.
+    monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 8)
+    assert d_radical_check(fixture_gb("two_points"), 0, 1).tag == NO_DEPENDENCE
+    monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 7)
+    steps.update(Q=0, K=0, Z=0)
+    with pytest.raises(ResourceLimit, match=r"^trace form of 2 x 2 needs 8 units of work, more than 7$"):
+        d_radical_check(fixture_gb("two_points"), 0, 1)
+    assert steps == {"Q": 0, "K": 0, "Z": 0}
 
 
 def test_series_walk_is_bounded(monkeypatch):
