@@ -5,7 +5,9 @@ dimension r over the constants.  The quotient coordinates c_m =
 coords(NF(D^m)) are walked in graded order from the class of 1 by the
 quotient action, c_(m+e_t) = d/dt c_m + A_t*c_m, and the member of the k-th
 standard monomial has coefficient c_m[k](0)/m! on x^a y^b... with exponent
-tuple m.  Over Q (see shape) c_m is constant.  Over K the walk runs over
+tuple m.  Over Q (see shape) c_m is constant: with s the lcm of the A_t
+denominators and B_t = s*A_t over Z (shape's q_form), c_m = w_m/s^|m| for
+integers w_(m+e_t) = B_t*w_m, the walk below with D = s.  Over K it runs over
 Z[x, y] and computes no gcd: with the polynomial D, the lcm of the A_t
 denominators, and each B_t = D*A_t over Z (shape's z_form), c_m = w_m/D^|m|
 for w_(m+e_t) = D*d/dt w_m - |m|*(d/dt D)*w_m + B_t*w_m, and c_m(0) =
@@ -52,7 +54,11 @@ which holds since both divide powers of D and D(0) != 0.
 
 The D-radical test looks for polynomials p_i of total degree <= degree_bound
 with sum p_i f_i = 0 through total degree order - degree_bound.  That is a
-finite exact Q-linear system in the p-coefficients.  Its kernel basis has
+finite exact Q-linear system in the p-coefficients.  Row beta holds, at
+p_i's coefficient on alpha, f_i[m] = w_m(0)[i]/(s^|m|*m!), m = beta - alpha
+(s = D(0) over K).  It is built times s^|beta|*beta!, in integers from the
+walk: w_m(0)[i]*s^|alpha|*beta!/m!.  A nonzero row scale keeps the kernel,
+so R below and every vector returned are unchanged.  Its kernel basis has
 one vector e_j - sum R[i][j]*e_(k_i) per free column j of the reduced
 echelon form R, with pivot columns k_i.  R is found fraction-free: each row
 is scaled to integers, cleared at the pivots by integer combinations and
@@ -69,16 +75,17 @@ cannot vanish through order deep - 1.  Over K no such bound holds, so no
 verified vector means no dependence up to the stated bounds, a
 semi-decision, not a proof of D-radicality.
 
-Over Q a radical quotient is decided first, with no walk and no kernel, by
-its trace form T_ij = tr(M_(b_i)*M_(b_j)), M_b = prod A_t^(b_t) being the
-product by D^b on A = Q[D]/J (Cox, Little and O'Shea, Using Algebraic
-Geometry, ch. 4 sec. 2).  A nilpotent a in A makes each a*b nilpotent, of
-trace 0: a is in the kernel of T.  So a nondegenerate T makes J radical,
-vanishing on r distinct points l_s, and the solutions are spanned by the
-exp(l_s.z), which have no K-dependence of any degree: on a generic line
-through 0 their exponents differ.  In characteristic 0 the converse holds
-(over C a reduced A is C^r, its idempotents orthonormal for T), so every
-radical quotient takes this route; a degenerate T means a dependence exists.
+Over Q a radical quotient is decided first, ahead of the walk's and the
+system's bounds, with no walk and no kernel, by its trace form T_ij =
+tr(M_(b_i)*M_(b_j)), M_b = prod A_t^(b_t) being the product by D^b on A =
+Q[D]/J (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 4 sec. 2).
+A nilpotent a in A makes each a*b nilpotent, of trace 0: a is in the
+kernel of T.  So a nondegenerate T makes J radical, vanishing on r
+distinct points l_s, and the solutions are spanned by the exp(l_s.z),
+which have no K-dependence of any degree: on a generic line through 0
+their exponents differ.  In characteristic 0 the converse holds (over C a
+reduced A is C^r, its idempotents orthonormal for T), so every radical
+quotient takes this route; a degenerate T means a dependence exists.
 """
 
 from __future__ import annotations
@@ -154,47 +161,53 @@ def _refuse(act, top: int) -> None:
 class _Expansion:
     """The coefficient walk behind solve_series, resumable up to order `top`.
 
-    Holds the Taylor coefficients read off so far and, for each monomial m
-    of the last degree layer walked, its quotient coordinates (over Z, their
-    numerators) and m!, which is all the next layer needs; solution(order)
-    walks only the layers below `order` not yet reached."""
+    Holds the Taylor coefficients read off so far, for each monomial m of
+    the last degree layer walked its numerators w_m, which is all the next
+    layer needs, and for every m walked (w_m(0), m!), where c_m(0) =
+    w_m(0)/s^|m|; walk(order) walks only the layers below `order` not yet
+    reached."""
 
     def __init__(self, act, top: int):
         _refuse(act, top)
         self.act = act
         self.top = top
         self.reached = 0
-        self.layer = {}
+        self.layer, self.walked = {}, {}
         self.coeff_dicts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(act.r)]
-        self.form = act.r and not act.gb.over_q and act.z_form(top + 1)
-        self.d0 = self.form and dict(self.form[1]).get(0)  # D(0) when the walk runs over Z
+        self.form = act.r and (act.q_form() if act.gb.over_q else act.z_form(top + 1))
+        self.d0 = self.form and not act.gb.over_q and dict(self.form[1]).get(0)  # D(0) when over Z[x, y]
+        self.s = self.d0 or self.form and self.form[0]  # c_m(0) = w_m(0)/s^|m|: s of q_form over Q
+
+    def walk(self, order: int) -> None:
+        act, nvars, d0 = self.act, self.act.nvars, self.d0
+        for d in range(self.reached, order):
+            layer = {}
+            scale = self.s**d
+            for m in _graded_monomials(nvars + 1, d + 1, d):
+                if d == 0:
+                    cm = [({} if any(dm) else {0: 1}) if d0 else int(not any(dm)) for dm in act.basis]
+                    fact = 1
+                else:
+                    t = next(i for i, e in enumerate(m) if e)
+                    prev, fact = self.layer[m[:t] + (m[t] - 1,) + m[t + 1:]]
+                    cm = act.apply_z(t, prev, d - 1, self.top - d, self.form) if d0 else act.apply_q(t, prev)
+                    fact *= m[t]  # m! = (m - e_t)!*m_t
+                layer[m] = cm, fact
+                w0 = [c.get(0, 0) for c in cm] if d0 else cm
+                self.walked[m] = w0, fact
+                div = scale * fact
+                for k, c in enumerate(w0):
+                    if c:
+                        self.coeff_dicts[k][m] = Fraction(c, div)
+            self.layer = layer
+        self.reached = max(self.reached, order)
 
     def solution(self, order: int) -> SolutionBasis:
         act, r, nvars = self.act, self.act.r, self.act.nvars
         if r == 0:
             return SolutionBasis(nvars, 0, order, (), ())
-        d0 = self.d0
-        for d in range(self.reached, order):
-            layer = {}
-            scale = d0**d if d0 else 1  # D(0)^|m|
-            for m in _graded_monomials(nvars + 1, d + 1, d):
-                if d == 0:
-                    cm = [{} if any(dm) else {0: 1} for dm in act.basis] if d0 else act.unit()
-                    fact = 1
-                else:
-                    t = next(i for i, e in enumerate(m) if e)
-                    prev, fact = self.layer[m[:t] + (m[t] - 1,) + m[t + 1:]]
-                    cm = act.apply_z(t, prev, d - 1, self.top - d, self.form) if d0 else act.apply(t, prev)
-                    fact *= m[t]  # m! = (m - e_t)!*m_t
-                layer[m] = cm, fact
-                div = scale * fact
-                for k, c in enumerate(cm):
-                    c = c.get(0) and Fraction(c[0], div) if d0 else c / fact
-                    if c:
-                        self.coeff_dicts[k][m] = c
-            self.layer = layer
-        self.reached = max(self.reached, order)
-        members = tuple(TruncSeries(nvars, order, d) for d in self.coeff_dicts)
+        self.walk(order)
+        members = tuple(TruncSeries(nvars, order, MultiPoly._make(nvars, d)) for d in self.coeff_dicts)
         return SolutionBasis(nvars, r, order, tuple(act.basis), members)
 
 
@@ -297,12 +310,13 @@ class DRadicalVerdict:
     order: int
 
 
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def _kernel_basis(rows: list[list], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel over Q, one vector per free column (see the module docstring)."""
     ech = []  # (pivot column, primitive integer row, zero at every other pivot)
-    for row in rows:
-        s = lcm(*(c.denominator for c in row))
-        v = [c.numerator * (s // c.denominator) for c in row]
+    for v in rows:
+        if not all(type(c) is int for c in v):  # an all-int row is taken as it is
+            s = lcm(*(c.denominator for c in v))
+            v = [c.numerator * (s // c.denominator) for c in v]
         for p, e in ech:
             if f := v[p]:
                 v = [e[p] * a - f * b for a, b in zip(v, e)]
@@ -360,18 +374,24 @@ def d_radical_check(gb: GroebnerBasis, degree_bound: int = 3, order: int = 10) -
     if order <= degree_bound:
         raise TruncationTooSmall("series order must exceed degree_bound")
     act = quotient_action(gb)
+    if act.r == 0 or gb.over_q and _radical(act):
+        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
     deep = max(order + 4, act.r * (degree_bound + 1)) if gb.over_q else order + 4
     expansion = _Expansion(act, deep)
     _check_work("dependence system", comb(order - degree_bound + gb.nvars, gb.nvars + 1),
                 act.r * comb(degree_bound + gb.nvars + 1, gb.nvars + 1))
-    if act.r == 0 or gb.over_q and _radical(act):
-        return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)
-    sol = expansion.solution(order)
-    r, nvars = sol.r, gb.nvars
-    cols = [(i, a) for i in range(r) for a in _graded_monomials(nvars + 1, degree_bound + 1)]
-    # a rest with a negative exponent is no key of a member: coefficient 0
-    rows = [[sol.members[i].coefficient(tuple(map(sub, beta, alpha))) for i, alpha in cols]
-            for beta in _graded_monomials(nvars + 1, order - degree_bound)]
+    r, nvars, walked = act.r, gb.nvars, expansion.walked
+    expansion.walk(order)
+    alphas = list(_graded_monomials(nvars + 1, degree_bound + 1))
+    cols = [(i, a) for i in range(r) for a in alphas]
+    spow, zero = [expansion.s ** sum(a) for a in alphas], ([0] * r, 1)
+    rows = []  # row beta times s^|beta|*beta!, in integers (see the module docstring)
+    for beta in _graded_monomials(nvars + 1, order - degree_bound):
+        fb = walked[beta][1]
+        # a rest with a negative exponent is no key of walked: entry 0
+        rests = [walked.get(tuple(map(sub, beta, a)), zero) for a in alphas]
+        got = [(w, p * (fb // f)) for (w, f), p in zip(rests, spow)]
+        rows.append([w[i] * c for i in range(r) for w, c in got])
     kernel = _kernel_basis(rows, len(cols))
     if not kernel:
         return DRadicalVerdict(NO_DEPENDENCE, None, degree_bound, order)

@@ -86,12 +86,12 @@ class QuotientAction:
     rows[t] holds A_t as rows of its nonzero entries (j, a) over the basis's
     field, read off the normal forms of D_t*m, m standard, at construction."""
 
-    __slots__ = ("gb", "basis", "rows", "_z_form", "_krylov")
+    __slots__ = ("gb", "basis", "rows", "_q_form", "_z_form", "_krylov")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.basis = gb.quotient_basis()
-        self._z_form = self._krylov = None
+        self._q_form = self._z_form = self._krylov = None
         nvars = gb.nvars
         one = Fraction(1) if gb.over_q else RatFunc.one(nvars)
         self.rows = []
@@ -99,6 +99,15 @@ class QuotientAction:
             nfs = [gb.reduce(OreOperator._make(nvars, {dm[:t] + (dm[t] + 1,) + dm[t + 1:]: one})).terms
                    for dm in self.basis]
             self.rows.append([[(j, a) for j, nf in enumerate(nfs) if (a := nf.get(dm))] for dm in self.basis])
+
+    def q_form(self) -> tuple:
+        """The A_t over Q in integer form, taken once, on first use: (s, B) with s
+        the lcm of every A_t denominator and B_t = s*A_t as rows of entries (j, int)."""
+        if self._q_form is None:
+            s = lcm(*(a.denominator for At in self.rows for row in At for _, a in row))
+            self._q_form = s, [[[(j, a.numerator * (s // a.denominator)) for j, a in row] for row in At]
+                               for At in self.rows]
+        return self._q_form
 
     def z_form(self, b: int) -> tuple:
         """The A_t over K in integer form, for r > 0: (b, D, dD, B) with D the
@@ -153,6 +162,11 @@ class QuotientAction:
         over_k = v and isinstance(v[0], RatFunc)
         return [sum((a * v[j] for j, a in row if v[j]), vi.derivative(t) if over_k else 0)
                 for row, vi in zip(self.rows[t], v)]
+
+    def apply_q(self, t: int, w: list) -> list:
+        """Action of D_t on w/s^k over Q, w a vector over Z: the numerator
+        B_t*w of the image over s^(k+1) (see q_form)."""
+        return [sum([b * w[j] for j, b in row]) for row in self.q_form()[1][t]]
 
     def apply_z(self, t: int, w: list, k: int, cut: int, form: tuple) -> list:
         """Action of D_t on w/D^k, w a vector over Z[x, y] packed as in form =

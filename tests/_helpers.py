@@ -483,10 +483,11 @@ def reference_order_key(kind, nvars, dm):
 def reference_kernel_basis(rows, ncols):
     """Right kernel over Q by the former series._kernel_basis: row-by-row
     Gauss-Jordan to the reduced echelon form, then one vector per free
-    column (1 there, minus that column's entries at the pivot columns)."""
+    column (1 there, minus that column's entries at the pivot columns).
+    Entries are taken as Fractions, so integer rows are solved exactly too."""
     ech = []  # (pivot column, normalized row)
     for row in rows:
-        row = row[:]
+        row = [Fraction(a) for a in row]
         for pc, erow in ech:
             if row[pc]:
                 f = row[pc]

@@ -279,8 +279,9 @@ def test_stdin_input(capsys, tmp_path, monkeypatch):
         (("wronskian", "-"), "Dx - 1\nDx - 2\n", 3),
         (("gb", "-"), "Dx^31\nDy\n", 4),
         (("wronskian", "-", "--trunc", "1"), TWO_POINTS, 4),
-        # over Q the re-check goes to r*(degree_bound + 1) = 64 at r = 16: C(67, 4) monomials
-        (("check-dradical", "-"), "# nvars 3\nDx^2 - 1\nDy1^2 - 1\nDy2^2 - 1\nDy3^2 - 1\n", 4),
+        # over Q the re-check goes to r*(degree_bound + 1) = 64 at r = 16: C(67, 4) monomials;
+        # x doubled, so the trace form is degenerate and the walk's bound is reached
+        (("check-dradical", "-"), "# nvars 3\nDx^2 - 2*Dx + 1\nDy1^2 - 1\nDy2^2 - 1\nDy3^2 - 1\n", 4),
         (("normalize", "-"), "Dx^2\nDx*Dy\nDy^2\n", 3),
         (("normalize", "-"), "Dx\n", 3),
         (("eliminate", "-"), "", 2),
@@ -425,18 +426,19 @@ def test_printed_numbers_above_the_cap_are_resource_limits(capsys, monkeypatch):
 
 # --trunc 100000 asks each command to walk 5*10^9 monomials in (x, y).
 # check-dradical is refused before its first walk when its deeper re-check,
-# at --trunc + 4, would pass the bound: from --trunc 443 on.
+# at --trunc + 4, would pass the bound: from --trunc 443 on.  Its input is a
+# double point, which the trace form leaves to the walk.
 @pytest.mark.parametrize(
     "argv, stdin",
     [
         (("solve",), "Dx^2 - 1\nDy - Dx\n"),
         (("wronskian",), "Dx^2 - 1\nDy - Dx\n"),
         (("apply",), "Dx\nDx^2 - 1\nDy - Dx\n"),
-        (("check-dradical",), "Dx^2 - 1\nDy - Dx\n"),
+        (("check-dradical",), "Dx^2 - 2*Dx + 1\nDy - Dx\n"),
         (("check-normal", "--via", "series"), "Dx^2 - 1\nDy - Dx\n"),
         # exp(x*y): its action matrices are not constant, so the walk is over K
         (("solve",), "Dx - y\nDy - x\n"),
-        (("check-dradical", "--trunc", "443"), "Dx^2 - 3*Dx + 2\nDy - Dx\n"),
+        (("check-dradical", "--trunc", "443"), "Dx^2 - 2*Dx + 1\nDy - Dx\n"),
     ],
 )
 def test_series_walk_past_the_monomial_bound_exits_4(capsys, monkeypatch, argv, stdin):
@@ -456,10 +458,11 @@ def test_series_walk_past_the_monomial_bound_exits_4(capsys, monkeypatch, argv, 
 
 def test_oversized_dependence_system_exits_4(capsys, monkeypatch):
     # 95,703 rows (monomials below total degree 437 in x, y) by 20 columns:
-    # refused before the first walk, which alone would take seconds
+    # refused before the first walk, which alone would take seconds.  The
+    # inputs have a double root, so the trace form leaves them to the search.
     start = time.perf_counter()
     code, out, err = run(capsys, "check-dradical", "-", "--trunc", "440", "--json",
-                         stdin="Dx^2 - 3*Dx + 2\nDy - Dx\n", monkeypatch=monkeypatch)
+                         stdin="Dx^2 - 2*Dx + 1\nDy - Dx\n", monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 1
     assert code == 4 and "Traceback" not in err
     assert json.loads(out)["error"] == {
@@ -468,13 +471,34 @@ def test_oversized_dependence_system_exits_4(capsys, monkeypatch):
     }
     # 595 x 160 has fewer entries than 95,703 x 20 but needs more work than
     # the two points at --trunc 100 (4,753 x 20); solved, it took about 30 s
-    roots = "*".join(f"(Dx - {k})" for k in range(16))
+    roots = "*".join(f"(Dx - {k})" for k in (*range(15), 14))
     start = time.perf_counter()
     code, out, err = run(capsys, "check-dradical", "-", "--trunc", "37", "--json",
                          stdin=f"{roots}\nDy - Dx^2 + 3*Dx\n", monkeypatch=monkeypatch)
     assert time.perf_counter() - start < 5
     assert code == 4 and "Traceback" not in err
     assert json.loads(out)["error"]["message"].startswith("dependence system of 595 x 160 needs 15232000 units")
+
+
+@pytest.mark.parametrize(
+    "trunc, stdin",
+    [
+        # r = 16 at nvars 3: its re-check order 64 passed the monomial bound
+        ("10", "# nvars 3\nDx^2 - 1\nDy1^2 - 1\nDy2^2 - 1\nDy3^2 - 1\n"),
+        # two points: a re-check at 447 passed the monomial bound, a system of
+        # 95,703 x 20 the work bound, and so did 595 x 160 for sixteen points
+        ("443", "Dx^2 - 3*Dx + 2\nDy - Dx\n"),
+        ("440", "Dx^2 - 3*Dx + 2\nDy - Dx\n"),
+        ("37", "*".join(f"(Dx - {k})" for k in range(16)) + "\nDy - Dx^2 + 3*Dx\n"),
+    ],
+)
+def test_radical_quotients_over_q_answer_past_the_series_bounds(capsys, monkeypatch, trunc, stdin):
+    # The trace form runs before the walk's and the system's bounds, which
+    # refused these inputs with exit 4; it needs neither, so they answer.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-dradical", "-", "--trunc", trunc, stdin=stdin, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "verdict: NoDependenceUpToBound\n", "")
 
 
 def _fraction_det(rows):

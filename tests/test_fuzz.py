@@ -279,12 +279,15 @@ def test_radical_shape_form_ideals_have_no_dependence(nvars, seed, c):
 @st.composite
 def low_rank_matrices(draw):
     """(rows, ncols): every row an integer combination of at most four drawn
-    rational rows, so zero rows, zero entries and dependent columns are common."""
+    rows, so zero rows, zero entries and dependent columns are common.  The
+    rows are rational, or all int as check-dradical's dependence systems are."""
     ncols = draw(st.integers(0, 7))
-    entry = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=4))
+    integer = draw(st.booleans())
+    zero = 0 if integer else Fraction(0)
+    entry = st.one_of(st.just(zero), st.integers(-6, 6) if integer else st.fractions(-6, 6, max_denominator=4))
     base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
     mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)), max_size=8))
-    return [[sum((c * b[j] for c, b in zip(cs, base)), Fraction(0)) for j in range(ncols)] for cs in mix], ncols
+    return [[sum((c * b[j] for c, b in zip(cs, base)), zero) for j in range(ncols)] for cs in mix], ncols
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -717,6 +717,42 @@ def test_dependence_verdict_matches_the_multiplicities():
                 assert combo_coefficient(v.witness, sol.members, expo) == 0
 
 
+def test_dependence_rows_are_the_coefficient_rows_scaled(monkeypatch):
+    # Row beta of the dependence system is the row of member coefficients,
+    # f_i[beta - alpha] at column (i, alpha), times s^|beta|*beta!, built in
+    # integers from the walk: over Q with s the lcm of the A_t denominators
+    # (s > 1 here), over K with s = D(0).  The coefficients come from the
+    # reference walk over K.  The trace form is made to fail, so that the
+    # search runs, and the stub's empty kernel stops it before the re-check.
+    systems = []
+    monkeypatch.setattr(series, "_radical", lambda act: False)
+    monkeypatch.setattr(series, "_kernel_basis", lambda rows, ncols: systems.append(rows) or [])
+    nvars, ops = parse_ideal_file("(Dx - 1/2)^2*(Dx + 2/3)\nDy - 1/5*Dx + 3/4\n")
+    rational_roots = groebner_basis(ops, TermOrder.degrevlex(nvars))
+    n2 = groebner_basis(double_point_ideal(random.Random(8), 2), TermOrder.degrevlex(2))
+    ideals = [rational_roots, shear_ideal(n2, (Fraction(-1, 2),) * 2),
+              conjugate(fixture_gb("double_point"), Fraction(2))]
+    for gb in ideals:
+        nvars, r = gb.nvars, gb.dimension()
+        s = _Expansion(quotient_action(gb), 1).s
+        assert s > 1
+        for degree_bound, order in ((1, 5), (2, 7)):
+            assert d_radical_check(gb, degree_bound, order).tag == NO_DEPENDENCE
+            rows = systems.pop()
+            members = reference_solve_series(gb, order).members
+            betas = list(_graded_monomials(nvars + 1, order - degree_bound))
+            cols = [(i, a) for i in range(r) for a in _graded_monomials(nvars + 1, degree_bound + 1)]
+            assert len(rows) == len(betas)
+            for beta, row in zip(betas, rows):
+                scale = s ** sum(beta)
+                for b in beta:
+                    scale *= factorial(b)
+                rests = [tuple(b - a for b, a in zip(beta, alpha)) for _, alpha in cols]
+                assert row == [members[i].coefficient(rest) * scale if min(rest) >= 0 else 0
+                               for (i, _), rest in zip(cols, rests)]
+                assert all(type(c) is int for c in row)
+
+
 def test_no_dependence_among_four_exponentials(monkeypatch):
     # The solutions 1, e^x, e^(2x), e^(3x) are K-independent, but at the
     # default bounds 16 polynomial coefficients of degree <= 3 in x leave a
@@ -850,6 +886,36 @@ def test_walk_over_z_matches_the_walk_over_k(monkeypatch):
     assert nvars == {1, 2}
 
 
+def test_walk_over_q_matches_the_walk_over_k(monkeypatch):
+    # Every step of these walks over Q is the integer step B_t*w, fresh and
+    # resumed, at every order from 1 to 12: none steps a Fraction vector.
+    # The reference walks over K once, to order 12, and is cut.  Shears by
+    # non-integers and rational roots put denominators into the A_t, so
+    # some walks run with s > 1 and read each coefficient over s^|m|*m!.
+    steps = _count_steps(monkeypatch)
+    monkeypatch.setattr(QuotientAction, "apply", lambda *args: pytest.fail("a step over Fractions"))
+    rng = random.Random(3101)
+    n2 = groebner_basis(two_point_ideal(rng, 2), TermOrder.degrevlex(2))
+    ideals = {name: fixture_gb(name) for name in ("two_points", "double_point", "exp_pair", "nilpotent_y")}
+    ideals["n2 sheared by 1/2"] = shear_ideal(n2, (Fraction(1, 2),) * 2)
+    ideals["double point n2"] = groebner_basis(double_point_ideal(rng, 2), TermOrder.degrevlex(2))
+    nvars, ops = parse_ideal_file("(Dx - 1/2)*(Dx + 2/3)^2\nDy - 1/5*Dx^2 + 3/4\n")
+    ideals["rational roots"] = shear_ideal(groebner_basis(ops, TermOrder.degrevlex(nvars)), (Fraction(-2, 3),))
+    scales = set()
+    for name, gb in ideals.items():
+        ref = reference_solve_series(gb, 12)
+        steps.update(Q=0, K=0, Z=0)
+        for order in range(1, 13):
+            assert solve_series(gb, order) == _cut(ref, order), (name, order)
+        expansion = _Expansion(quotient_action(gb), 11)
+        for order in (3, 7, 5, 11):
+            assert expansion.solution(order) == _cut(ref, order), (name, order)
+        walked = sum(comb(order + gb.nvars, gb.nvars + 1) - 1 for order in (*range(1, 13), 11))
+        assert gb.over_q and steps == {"Q": walked, "K": 0, "Z": 0}, name
+        scales.add((gb.nvars, expansion.s > 1))
+    assert scales == {(1, False), (1, True), (2, False), (2, True)}
+
+
 def test_walk_over_z_computes_no_gcd(monkeypatch):
     # The action and its integer form take their gcds once, when built;
     # the walk takes none, so a walk to order 30 takes as many as one to 6.
@@ -904,19 +970,25 @@ def test_deeper_recheck_is_bounded(monkeypatch):
 
 def _count_steps(monkeypatch):
     """Record each step of the quotient action by the ring of its vector:
-    A_t·v over Q, D_t·v over K, and the numerator of D_t·v over Z[x, y]."""
+    A_t·v over Q (the trace form's Fraction columns, and the walk's integer
+    numerators B_t·w), D_t·v over K, and the numerator of D_t·v over Z[x, y]."""
     steps = {"Q": 0, "K": 0, "Z": 0}
-    apply, apply_z = QuotientAction.apply, QuotientAction.apply_z
+    apply, apply_q, apply_z = QuotientAction.apply, QuotientAction.apply_q, QuotientAction.apply_z
 
     def counting(self, t, v):
         steps["K" if isinstance(v[0], RatFunc) else "Q"] += 1
         return apply(self, t, v)
+
+    def counting_q(self, *args):
+        steps["Q"] += 1
+        return apply_q(self, *args)
 
     def counting_z(self, *args):
         steps["Z"] += 1
         return apply_z(self, *args)
 
     monkeypatch.setattr(QuotientAction, "apply", counting)
+    monkeypatch.setattr(QuotientAction, "apply_q", counting_q)
     monkeypatch.setattr(QuotientAction, "apply_z", counting_z)
     return steps
 
@@ -946,8 +1018,9 @@ def test_dependence_system_is_bounded(monkeypatch):
     # min(rows, columns).  The bound admits a system of exactly
     # MAX_DEPENDENCE_WORK and refuses one unit more, before any step of the
     # walk, over Q and over K; the unit ideal has no system.  The quotients
-    # over Q are not radical, so the search runs past the trace form.  The
-    # largest systems of the golden corpus and the benchmark are 84 x 40.
+    # over Q are not radical, so the search runs past the trace form, whose
+    # r*(r - 1) steps come first.  The largest systems of the golden corpus
+    # and the benchmark are 84 x 40.
     assert 84 * 40 * 40 <= series.MAX_DEPENDENCE_WORK
     # The stub solves the square trace forms and gives the dependence
     # systems, none of them square here, an empty kernel: no re-check runs.
@@ -970,18 +1043,20 @@ def test_dependence_system_is_bounded(monkeypatch):
         steps.update(Q=0, K=0, Z=0)
         with pytest.raises(ResourceLimit, match=rf"dependence system of {size[0]} x {size[1]} needs {work} units"):
             d_radical_check(gb, degree_bound, order)
-        assert steps == {"Q": 0, "K": 0, "Z": 0}
+        assert steps == {"Q": r * (r - 1) if gb.over_q else 0, "K": 0, "Z": 0}
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 0)
     assert d_radical_check(fixture_gb("unit")).tag == NO_DEPENDENCE
     # The trace form of r = 2 costs r^3 = 8 units, past a system of 1 x 2 at
-    # degree_bound 0 and order 1; one unit less refuses it before any step.
+    # degree_bound 0 and order 1; one unit less refuses it before any step,
+    # radical or not, since it runs before the walk and the system.
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 8)
     assert d_radical_check(fixture_gb("two_points"), 0, 1).tag == NO_DEPENDENCE
     monkeypatch.setattr(series, "MAX_DEPENDENCE_WORK", 7)
-    steps.update(Q=0, K=0, Z=0)
-    with pytest.raises(ResourceLimit, match=r"^trace form of 2 x 2 needs 8 units of work, more than 7$"):
-        d_radical_check(fixture_gb("two_points"), 0, 1)
-    assert steps == {"Q": 0, "K": 0, "Z": 0}
+    for name in ("two_points", "double_point"):
+        steps.update(Q=0, K=0, Z=0)
+        with pytest.raises(ResourceLimit, match=r"^trace form of 2 x 2 needs 8 units of work, more than 7$"):
+            d_radical_check(fixture_gb(name), 0, 1)
+        assert steps == {"Q": 0, "K": 0, "Z": 0}
 
 
 def test_series_walk_is_bounded(monkeypatch):
@@ -1000,9 +1075,12 @@ def test_series_walk_is_bounded(monkeypatch):
             solve_series(gb, 11)
     assert steps == {"Q": 0, "K": 0, "Z": 0}
     # check-dradical is refused before its first walk to order 10, since its
-    # deeper re-check would walk to order 14; the unit ideal is not
+    # deeper re-check would walk to order 14; over Q only the trace form's
+    # r*(r - 1) = 2 steps come first.  The unit ideal is not refused, and
+    # neither is a radical quotient over Q, which the trace form decides.
     for gb in (fixture_gb("double_point"), conjugate(fixture_gb("double_point"), Fraction(2))):
         with pytest.raises(ResourceLimit, match="series order 14 needs more than 55 monomials"):
             d_radical_check(gb, order=10)
-    assert steps == {"Q": 0, "K": 0, "Z": 0}
+    assert steps == {"Q": 2, "K": 0, "Z": 0}
+    assert d_radical_check(fixture_gb("two_points"), order=10).tag == NO_DEPENDENCE
     assert d_radical_check(fixture_gb("unit"), order=10**6).tag == NO_DEPENDENCE
